@@ -13,6 +13,7 @@
 // CDF at the bucket edges.  Multiple topology graphs (the paper runs 10)
 // are aggregated; --graphs controls the count.
 #include <iostream>
+#include <string>
 
 #include "bench_util.h"
 #include "common/histogram.h"
@@ -63,8 +64,11 @@ void run_figure(const topo::TransitStubParams& topo_params,
   const auto fa = ha.fractions();
   const auto fi = hi.fractions();
   for (std::size_t b = 0; b < ha.bin_count(); ++b)
-    dist.add_row({"[" + Table::num(ha.bin_lo(b), 0) + "," +
-                      Table::num(ha.bin_hi(b), 0) + ")",
+    dist.add_row({std::string("[")
+                      .append(Table::num(ha.bin_lo(b), 0))
+                      .append(",")
+                      .append(Table::num(ha.bin_hi(b), 0))
+                      .append(")"),
                   Table::num(100.0 * fa[b], 1),
                   Table::num(100.0 * fi[b], 1)});
   dist.add_row({">= " + Table::num(edges.back(), 0),

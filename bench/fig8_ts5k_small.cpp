@@ -7,6 +7,7 @@
 // ignorant one (the gap is smaller than on ts5k-large but clearly
 // present).
 #include <iostream>
+#include <string>
 
 #include "bench_util.h"
 #include "common/histogram.h"
@@ -65,8 +66,11 @@ int main(int argc, char** argv) {
   const auto fa = ha.fractions();
   const auto fi = hi.fractions();
   for (std::size_t b = 0; b < ha.bin_count(); ++b)
-    dist.add_row({"[" + Table::num(ha.bin_lo(b), 0) + "," +
-                      Table::num(ha.bin_hi(b), 0) + ")",
+    dist.add_row({std::string("[")
+                      .append(Table::num(ha.bin_lo(b), 0))
+                      .append(",")
+                      .append(Table::num(ha.bin_hi(b), 0))
+                      .append(")"),
                   Table::num(100.0 * fa[b], 1),
                   Table::num(100.0 * fi[b], 1)});
   dist.add_row({">= " + Table::num(edges.back(), 0),

@@ -111,7 +111,6 @@ std::string_view ProtocolRound::tag_of(Phase p) noexcept {
 void ProtocolRound::begin_phase(Phase p) {
   const std::size_t i = static_cast<std::size_t>(p);
   metrics(p).start = net_.engine().now();
-  phase_base_[i] = net_.counters(tag_of(p));
   phase_reg_base_[i] = {phase_counters_[i].messages->value(),
                         phase_counters_[i].bytes->value()};
   if (obs::Tracer* tr = net_.tracer()) {
@@ -127,16 +126,9 @@ void ProtocolRound::end_phase(Phase p) {
   const std::size_t i = static_cast<std::size_t>(p);
   PhaseMetrics& m = metrics(p);
   m.end = net_.engine().now();
-  // The registry is the accounting source; the legacy per-tag counters
-  // must tell the identical story (regression check for the migration).
   m.messages = static_cast<std::uint64_t>(
       phase_counters_[i].messages->value() - phase_reg_base_[i].first);
   m.bytes = phase_counters_[i].bytes->value() - phase_reg_base_[i].second;
-  const sim::TrafficCounters& base = phase_base_[i];
-  const sim::TrafficCounters now = net_.counters(tag_of(p));
-  P2PLB_ASSERT_MSG(m.messages == now.messages - base.messages &&
-                       m.bytes == now.bytes - base.bytes,
-                   "registry phase diff diverged from legacy counters");
   // Phase 4's span closes once, in maybe_finish -- end_phase(kTransfer)
   // is re-stamped on every delivery.
   if (p != Phase::kTransfer)
@@ -384,9 +376,8 @@ void ProtocolRound::maybe_finish() {
   report_.after = classify_all(ring_, report_.system, config_.balancer.epsilon);
   report_.completion_time = now - t0_;
 
-  // Single source of truth for traffic: the analytic counters the oracle
-  // pipeline computed must equal what actually crossed the network, and
-  // the report carries the measured values.
+  // The analytic counters the oracle pipeline computed must equal what
+  // actually crossed the network.
   P2PLB_ASSERT_MSG(report_.aggregation.messages ==
                        metrics(Phase::kAggregation).messages,
                    "analytic aggregation count diverged from network");
@@ -395,9 +386,6 @@ void ProtocolRound::maybe_finish() {
                    "analytic dissemination count diverged from network");
   P2PLB_ASSERT_MSG(report_.vsa.messages == metrics(Phase::kVsa).messages,
                    "analytic VSA count diverged from network");
-  report_.aggregation.messages = metrics(Phase::kAggregation).messages;
-  report_.dissemination.messages = metrics(Phase::kDissemination).messages;
-  report_.vsa.messages = metrics(Phase::kVsa).messages;
 
   // Round outcomes land in the registry next to the traffic counters.
   const std::size_t planned = report_.vsa.assignments.size();

@@ -26,10 +26,11 @@
 // synchronous wrapper produce identical pairings and identical
 // post-transfer classifications.  Every remote hop passes through
 // sim::Network::send under a per-phase tag, so message/byte/latency
-// accounting lives in exactly one place; the per-phase counters are
-// emitted as BalanceReport::phases and the legacy analytic counters
-// (LbiAggregation/LbiDissemination/VsaResult::messages) are overwritten
-// from the network's tallies (tests assert the two always agree).
+// accounting lives in exactly one place, the network's metrics registry.
+// The per-phase registry diffs are emitted as BalanceReport::phases, and
+// the round asserts that the oracle pipeline's analytic counts
+// (LbiAggregation/LbiDissemination/VsaResult::messages) equal what the
+// event replay actually sent.
 //
 // The ring may churn while a round is in flight: decisions were
 // snapshotted, endpoints were snapshotted, and a transfer whose server
@@ -159,9 +160,8 @@ class ProtocolRound {
   /// (entry leaf, reporting node) in live-node order.
   std::vector<std::pair<ktree::KtIndex, chord::NodeIndex>> report_plan_;
 
-  // Observability.  The round always has a registry (the network creates
-  // an owned one on demand); PhaseMetrics are registry-counter diffs with
-  // the legacy per-tag counters asserted equal (see balancer.h).
+  // Observability.  PhaseMetrics are diffs of the network registry's
+  // per-tag counters taken at phase boundaries (see balancer.h).
   struct PhaseCounters {
     obs::Counter* messages = nullptr;
     obs::Counter* bytes = nullptr;
@@ -178,7 +178,6 @@ class ProtocolRound {
   // Event-time state.
   std::function<void(const BalanceReport&)> on_complete_;
   double t0_ = 0.0;
-  std::array<sim::TrafficCounters, kPhaseCount> phase_base_{};
   std::array<std::pair<double, double>, kPhaseCount> phase_reg_base_{};
   std::vector<std::size_t> lbi_waits_;  // per KT node (leaves only used)
   std::function<void(ktree::KtIndex)> release_leaf_;

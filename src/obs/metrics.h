@@ -1,13 +1,11 @@
 // Unified metrics registry: named, label-aware counters, gauges and
 // histograms shared by every layer of the stack.
 //
-// Before this module each subsystem kept its own tallies (the network's
-// TrafficCounters, the balancer's analytic message counts, the tree
-// maintenance counter), which is how accounting schemes drift apart.  A
-// MetricsRegistry is the one place simulation-wide totals accumulate:
-// sim::Network books every send into it, lb::ProtocolRound derives its
-// per-phase metrics from it, and ktree::MaintenanceProtocol counts its
-// repair traffic in it.  The registry is deterministic by construction --
+// A MetricsRegistry is the one place simulation-wide totals accumulate:
+// sim::Network owns one and books every send into it (it keeps no other
+// tally), lb::ProtocolRound derives its per-phase metrics from the
+// network's registry, and ktree::MaintenanceProtocol counts its repair
+// traffic in it.  The registry is deterministic by construction --
 // metrics are stored in canonical-key order, so snapshots and exports are
 // stable across runs for golden tests.
 //

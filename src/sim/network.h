@@ -6,18 +6,20 @@
 // latency while experiments plug in topology shortest-path distances.
 //
 // Every remote hop of every protocol is meant to pass through send(), so
-// message / byte / latency accounting lives in exactly one place.  Sends
-// may carry a tag ("lb.vsa", "ktree.maintenance", ...) and the network
-// keeps an independent counter set per tag, which is how overlapping
-// protocol phases on one shared network are told apart.
+// message / byte / latency accounting lives in exactly one place: the
+// obs::MetricsRegistry the network owns from construction (metrics()).
+// Each send books net.messages / net.bytes / net.latency_sum, and a send
+// with a tag ("lb.vsa", "ktree.maintenance", ...) books the {tag=...}
+// labelled set too, which is how overlapping protocol phases on one
+// shared network are told apart.  totals() is a by-value view of the
+// three unlabelled counters.
 //
-// Observability: attach_metrics() mirrors every send into an
-// obs::MetricsRegistry (net.messages / net.bytes / net.latency_sum,
-// plus a {tag=...} labelled set per tag) and attach_tracer() records a
-// msg.send instant at scheduling time and a msg.deliver instant at
-// delivery time, on the lane named after the tag ("net" for untagged
-// sends).  Both sinks default to detached and cost one pointer test per
-// send when unset.
+// Optional sinks: attach_windows() feeds a windowed aggregator,
+// attach_tracer() records a msg.send instant at scheduling time and a
+// msg.deliver instant at delivery time (on the lane named after the tag,
+// "net" for untagged sends), attach_profiler() attributes delivery wall
+// time, and the engine's flight recorder logs every send.  Each sink
+// defaults to detached and costs one pointer test per send when unset.
 //
 // Causal envelopes: when a tracer is attached, every message carries an
 // obs::SpanContext.  The network holds an *ambient* context -- set by
@@ -38,7 +40,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -75,7 +76,8 @@ struct Latency {
   }
 };
 
-/// One counter set: totals over some class of messages.
+/// Totals over every send, as read back from the registry by
+/// Network::totals().
 struct TrafficCounters {
   std::uint64_t messages = 0;
   double bytes = 0.0;
@@ -147,7 +149,7 @@ class Network {
   /// Deliver `on_receive` at the destination after the link latency plus
   /// `processing_delay`.  `bytes` feeds the traffic counters only.  A
   /// non-empty `tag` additionally books the message under that tag's
-  /// counter set (see counters()).
+  /// {tag=...} counter set in metrics().
   EventId send(Endpoint from, Endpoint to, EventFn on_receive,
                double bytes = 0.0, Time processing_delay = 0.0,
                std::string_view tag = {}) {
@@ -155,36 +157,24 @@ class Network {
     const common::ShardGuard shard(net_shard_);
     const Time lat = latency_(from, to);
     P2PLB_ASSERT_MSG(lat >= 0.0, "latency function returned negative delay");
-    account(totals_, lat, bytes);
+    account(total_handles_, lat, bytes);
     if (!tag.empty()) {
       // Sends come in long same-tag bursts (one protocol phase at a
-      // time), so memoize the last tag's map entries and skip both map
-      // walks on a hit.
+      // time), so memoize the last tag's handles and skip the map walk
+      // on a hit.
       if (tag != last_tag_) {
-        auto it = tagged_.find(tag);
-        if (it == tagged_.end())
-          it = tagged_.emplace(std::string(tag), TrafficCounters{}).first;
+        auto it = tag_handles_.find(tag);
+        if (it == tag_handles_.end())
+          it = tag_handles_
+                   .emplace(std::string(tag),
+                            resolve({{"tag", std::string(tag)}}))
+                   .first;
         last_tag_ = it->first;  // stable: map nodes never move
-        last_counters_ = &it->second;
-        last_handles_ = metrics_ != nullptr ? &tag_metric_handles(tag)
-                                            : nullptr;
+        last_handles_ = &it->second;
         if (profiler_ != nullptr)
           last_tag_frame_ = profiler_->intern(tag, obs::tag_layer(tag));
       }
-      account(*last_counters_, lat, bytes);
-    }
-    if (metrics_ != nullptr) {
-      totals_handles_.messages->increment();
-      totals_handles_.bytes->add(bytes);
-      totals_handles_.latency->add(lat);
-      if (!tag.empty()) {
-        if (last_handles_ == nullptr)  // registry attached after the memo
-          last_handles_ = &tag_metric_handles(tag);
-        const TagHandles& h = *last_handles_;
-        h.messages->increment();
-        h.bytes->add(bytes);
-        h.latency->add(lat);
-      }
+      account(*last_handles_, lat, bytes);
     }
     if (windows_ != nullptr) {
       // The aggregator is passive (it schedules nothing) and the series
@@ -272,46 +262,12 @@ class Network {
   void attach_profiler(obs::Profiler* profiler) {  // p2plb: holds(net_shard_)
     profiler_ = profiler;
     last_tag_ = {};
-    last_counters_ = nullptr;
-    last_handles_ = nullptr;
-    last_tag_frame_ = 0;
     net_frame_ = profiler != nullptr ? profiler->intern("net", "net") : 0;
   }
   [[nodiscard]] obs::Profiler* profiler() const noexcept { return profiler_; }
 
-  /// Mirror all subsequent accounting into `registry` (non-null).  The
-  /// registry counters are seeded from the current legacy counters, so a
-  /// network with a fresh registry of its own agrees with its legacy
-  /// counters exactly.  A registry shared across networks accumulates all
-  /// of them, and reset_counters() clears only the legacy side -- in both
-  /// cases the schemes intentionally diverge.
-  void attach_metrics(obs::MetricsRegistry* registry) {  // p2plb: holds(net_shard_)
-    P2PLB_REQUIRE(registry != nullptr);
-    P2PLB_REQUIRE_MSG(metrics_ == nullptr || metrics_ == registry,
-                      "a different metrics registry is already attached");
-    if (metrics_ == registry) return;
-    metrics_ = registry;
-    totals_handles_ = TagHandles{&metrics_->counter("net.messages"),
-                                 &metrics_->counter("net.bytes"),
-                                 &metrics_->counter("net.latency_sum")};
-    seed(totals_handles_, totals_);
-    tag_handles_.clear();
-    last_handles_ = nullptr;  // pointed into the cleared map
-    for (const auto& [tag, counters] : tagged_)
-      seed(tag_metric_handles(tag), counters);
-  }
-  /// The attached registry, creating (and owning) one on first use.
-  [[nodiscard]] obs::MetricsRegistry& metrics() {
-    if (metrics_ == nullptr) {
-      owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-      attach_metrics(owned_metrics_.get());
-    }
-    return *metrics_;
-  }
-  /// The attached registry, or nullptr when none is attached.
-  [[nodiscard]] obs::MetricsRegistry* metrics_registry() const noexcept {
-    return metrics_;
-  }
+  /// The registry every send is booked into (see the file comment).
+  [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
   /// Feed every send into `windows`'s net.messages / net.bytes counter
   /// series (nullptr detaches).  Series ids resolve once here, so the
@@ -333,31 +289,11 @@ class Network {
     return latency_(from, to);
   }
 
-  /// Totals over every send, tagged or not.
-  [[nodiscard]] const TrafficCounters& totals() const noexcept {
-    return totals_;
-  }
-  /// Counters for one tag (all-zero if nothing was sent under it).
-  [[nodiscard]] TrafficCounters counters(std::string_view tag) const {
-    const auto it = tagged_.find(tag);
-    return it == tagged_.end() ? TrafficCounters{} : it->second;
-  }
-
-  [[nodiscard]] std::uint64_t messages_sent() const noexcept {
-    return totals_.messages;
-  }
-  [[nodiscard]] double bytes_sent() const noexcept { return totals_.bytes; }
-  /// Mean per-message latency over all sends so far (0 if none).
-  [[nodiscard]] double mean_latency() const noexcept {
-    return totals_.mean_latency();
-  }
-
-  void reset_counters() noexcept {  // p2plb: holds(net_shard_)
-    totals_ = TrafficCounters{};
-    tagged_.clear();
-    last_tag_ = {};  // the memo pointed into the cleared map
-    last_counters_ = nullptr;
-    last_handles_ = nullptr;
+  /// Totals over every send, tagged or not: a by-value view of the
+  /// unlabelled net.* counters in metrics().
+  [[nodiscard]] TrafficCounters totals() const noexcept {
+    return {static_cast<std::uint64_t>(total_handles_.messages->value()),
+            total_handles_.bytes->value(), total_handles_.latency->value()};
   }
 
  private:
@@ -369,50 +305,35 @@ class Network {
     obs::Counter* latency = nullptr;
   };
 
-  static void account(TrafficCounters& c, Time lat, double bytes) noexcept {
-    ++c.messages;
-    c.bytes += bytes;
-    c.latency_sum += lat;
+  static void account(const TagHandles& h, Time lat, double bytes) {
+    h.messages->increment();
+    h.bytes->add(bytes);
+    h.latency->add(lat);
   }
 
-  /// Bring freshly resolved registry handles up to date with traffic that
-  /// predates the attach.
-  static void seed(const TagHandles& h, const TrafficCounters& c) {
-    h.messages->add(static_cast<double>(c.messages));
-    h.bytes->add(c.bytes);
-    h.latency->add(c.latency_sum);
-  }
-
-  // p2plb: holds(net_shard_)
-  const TagHandles& tag_metric_handles(std::string_view tag) {
-    const auto it = tag_handles_.find(tag);
-    if (it != tag_handles_.end()) return it->second;
-    const obs::Labels labels{{"tag", std::string(tag)}};
-    return tag_handles_
-        .emplace(std::string(tag),
-                 TagHandles{&metrics_->counter("net.messages", labels),
-                            &metrics_->counter("net.bytes", labels),
-                            &metrics_->counter("net.latency_sum", labels)})
-        .first->second;
+  /// Find-or-create the registry counters for one label set.
+  TagHandles resolve(const obs::Labels& labels) {
+    return {&metrics_.counter("net.messages", labels),
+            &metrics_.counter("net.bytes", labels),
+            &metrics_.counter("net.latency_sum", labels)};
   }
 
   /// Ownership domain of the accounting and causal-envelope state every
   /// send touches.  The attach-time sink pointers (tracer_, profiler_,
-  /// metrics_) are setup-phase configuration and stay outside the shard.
+  /// windows_) are setup-phase configuration and stay outside the shard.
   common::ShardCapability net_shard_;
 
   Engine& engine_;
   LatencyFn owned_latency_;  ///< Backing store for the wrapping ctor only.
   Latency latency_;
-  TrafficCounters totals_;  // p2plb: shared(net_shard_)
-  // Ordered so iteration (and therefore any derived output) is
-  // deterministic; std::less<> enables string_view lookups.
+  obs::MetricsRegistry metrics_;
+  const TagHandles total_handles_ = resolve({});
+  // Per-tag handles; std::less<> enables string_view lookups.
   // p2plb: shared(net_shard_)
-  std::map<std::string, TrafficCounters, std::less<>> tagged_;
-  // One-entry memo over tagged_ / tag_handles_ (sends burst per tag).
-  // last_tag_ views the map node's key, which is stable until clear().
+  std::map<std::string, TagHandles, std::less<>> tag_handles_;
+  // One-entry memo over tag_handles_ (sends burst per tag).  last_tag_
+  // views the map node's key, which is stable: entries are never erased.
   std::string_view last_tag_;  // p2plb: shared(net_shard_)
-  TrafficCounters* last_counters_ = nullptr;  // p2plb: shared(net_shard_)
   const TagHandles* last_handles_ = nullptr;  // p2plb: shared(net_shard_)
 
   obs::Tracer* tracer_ = nullptr;
@@ -421,14 +342,9 @@ class Network {
   obs::Profiler::FrameId net_frame_ = 0;       ///< ("net","net"), untagged
   // Memoized with last_tag_.  p2plb: shared(net_shard_)
   obs::Profiler::FrameId last_tag_frame_ = 0;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::WindowedAggregator* windows_ = nullptr;
   obs::SeriesId win_messages_;  ///< resolved at attach_windows time
   obs::SeriesId win_bytes_;
-  TagHandles totals_handles_;  // p2plb: shared(net_shard_)
-  // p2plb: shared(net_shard_)
-  std::map<std::string, TagHandles, std::less<>> tag_handles_;
 };
 
 }  // namespace p2plb::sim

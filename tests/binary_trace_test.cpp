@@ -45,23 +45,23 @@ chord::Ring make_ring(std::size_t nodes, std::uint64_t seed) {
 }
 
 /// Run one balancing round over a fresh copy of the seed-`seed` ring,
-/// with `tracer` (and optionally `metrics`) attached.  Reusing one
-/// tracer across calls accumulates multiple traces, ids continuing
-/// monotonically -- the multi-trace streams these tests need.
-void run_round(obs::Tracer* tracer, std::uint64_t seed,
-               obs::MetricsRegistry* metrics = nullptr) {
+/// with `tracer` attached, and return a snapshot of the network's
+/// metrics.  Reusing one tracer across calls accumulates multiple traces,
+/// ids continuing monotonically -- the multi-trace streams these tests
+/// need.
+obs::MetricsSnapshot run_round(obs::Tracer* tracer, std::uint64_t seed) {
   auto ring = make_ring(32, seed);
   sim::Engine engine;
   sim::Network net(engine, [](sim::Endpoint x, sim::Endpoint y) {
     return x == y ? 0.0 : 1.0;
   });
   if (tracer != nullptr) net.attach_tracer(tracer);
-  if (metrics != nullptr) net.attach_metrics(metrics);
   Rng rng(seed + 2);
   lb::ProtocolRound round(net, ring, {}, rng);
   round.start();
   engine.run();
   EXPECT_TRUE(round.done());
+  return net.metrics().snapshot();
 }
 
 std::string encode_events(const std::vector<obs::TraceEvent>& events) {
@@ -177,26 +177,18 @@ TEST(TraceSampling, SampledOutRoundsStillFeedMetrics) {
   }
   ASSERT_TRUE(found);
 
-  obs::MetricsRegistry sampled_metrics;
   obs::Tracer sampled;
   sampled.set_trace_sampling(1, 64, drop_seed);
-  run_round(&sampled, 1, &sampled_metrics);
+  const obs::MetricsSnapshot sampled_metrics = run_round(&sampled, 1);
   EXPECT_EQ(sampled.event_count(), 0u);   // the whole round was dropped
   EXPECT_GT(sampled.ids_allocated(), 0u); // but ids were still allocated
 
-  obs::MetricsRegistry untraced_metrics;
-  run_round(nullptr, 1, &untraced_metrics);
+  const obs::MetricsSnapshot untraced_metrics = run_round(nullptr, 1);
 
   // The metrics path never goes through the tracer: counters agree with
   // an untraced run exactly even though zero trace events were emitted.
-  const obs::Counter* a = sampled_metrics.find_counter("net.messages");
-  const obs::Counter* b = untraced_metrics.find_counter("net.messages");
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_GT(b->value(), 0.0);
-  EXPECT_EQ(a->value(), b->value());
-  EXPECT_EQ(sampled_metrics.snapshot().values,
-            untraced_metrics.snapshot().values);
+  EXPECT_GT(untraced_metrics.value("net.messages"), 0.0);
+  EXPECT_EQ(sampled_metrics.values, untraced_metrics.values);
 }
 
 TEST(TraceSampling, KeepEqualsOfDisablesSampling) {

@@ -7,9 +7,8 @@
 //     output of one small deterministic balancing round -- any change to
 //     event ordering, field order or number formatting shows up as a
 //     byte-level diff here;
-//   * null-tracer / registry-vs-legacy tests: tracing must not perturb
-//     the simulation, and the registry must agree exactly with the
-//     network's legacy TrafficCounters.
+//   * null-tracer / network-registry tests: tracing must not perturb
+//     the simulation, and the network's own registry holds every send.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -756,89 +755,49 @@ TEST(TraceGolden, FileWriterPicksFormatBySuffix) {
 }
 
 // ---------------------------------------------------------------------------
-// Network <-> registry parity
+// The network's registry
 // ---------------------------------------------------------------------------
 
 sim::LatencyFn unit_latency() {
   return [](sim::Endpoint a, sim::Endpoint b) { return a == b ? 0.0 : 1.0; };
 }
 
-void expect_registry_matches(const obs::MetricsRegistry& reg,
-                             const sim::TrafficCounters& legacy,
-                             const obs::Labels& labels) {
+void expect_net_counters(const obs::MetricsRegistry& reg,
+                         const obs::Labels& labels,
+                         const sim::TrafficCounters& want) {
   const obs::Counter* messages = reg.find_counter("net.messages", labels);
   const obs::Counter* bytes = reg.find_counter("net.bytes", labels);
   const obs::Counter* latency = reg.find_counter("net.latency_sum", labels);
   ASSERT_NE(messages, nullptr);
   ASSERT_NE(bytes, nullptr);
   ASSERT_NE(latency, nullptr);
-  EXPECT_EQ(messages->value(), static_cast<double>(legacy.messages));
-  EXPECT_EQ(bytes->value(), legacy.bytes);
-  EXPECT_EQ(latency->value(), legacy.latency_sum);
+  EXPECT_EQ(messages->value(), static_cast<double>(want.messages));
+  EXPECT_EQ(bytes->value(), want.bytes);
+  EXPECT_EQ(latency->value(), want.latency_sum);
 }
 
-TEST(NetworkMetrics, RegistryMatchesLegacyCounters) {
-  sim::Engine engine;
-  sim::Network net(engine, unit_latency());
-  obs::MetricsRegistry reg;
-  net.attach_metrics(&reg);
-  net.send(0, 1, [] {}, 100.0, 0.0, "lb.vsa");
-  net.send(1, 1, [] {}, 50.0, 0.0, "lb.vsa");
-  net.send(0, 2, [] {}, 10.0, 0.0, "ktree.maintenance");
-  net.send(2, 0, [] {}, 8.0);  // untagged: totals only
-  engine.run();
-
-  expect_registry_matches(reg, net.totals(), {});
-  expect_registry_matches(reg, net.counters("lb.vsa"),
-                          {{"tag", "lb.vsa"}});
-  expect_registry_matches(reg, net.counters("ktree.maintenance"),
-                          {{"tag", "ktree.maintenance"}});
-  // The untagged send created no phantom tag series.
-  EXPECT_EQ(reg.find_counter("net.messages", {{"tag", ""}}), nullptr);
-  // Attaching the same registry again is a no-op; a different one throws.
-  net.attach_metrics(&reg);
-  obs::MetricsRegistry other;
-  EXPECT_THROW(net.attach_metrics(&other), PreconditionError);
-}
-
-TEST(NetworkMetrics, AttachAfterTrafficSeedsTheRegistry) {
+TEST(NetworkMetrics, MetricsTakenAfterTrafficHoldThatTraffic) {
   sim::Engine engine;
   sim::Network net(engine, unit_latency());
   net.send(0, 1, [] {}, 40.0, 0.0, "lb.transfer");
-  net.send(1, 0, [] {}, 60.0, 0.0, "lb.transfer");
+  net.send(1, 1, [] {}, 60.0, 0.0, "lb.transfer");
+  net.send(2, 0, [] {}, 8.0);  // untagged: totals only
   engine.run();
 
-  // Mid-run attach: the registry starts out equal to the legacy counters
-  // (seeded), not at zero.
-  obs::MetricsRegistry reg;
-  net.attach_metrics(&reg);
-  expect_registry_matches(reg, net.totals(), {});
-  expect_registry_matches(reg, net.counters("lb.transfer"),
-                          {{"tag", "lb.transfer"}});
+  // The registry was there from construction, so reading it only now
+  // still shows every send.
+  obs::MetricsRegistry& reg = net.metrics();
+  expect_net_counters(reg, {}, {3, 108.0, 2.0});
+  expect_net_counters(reg, {{"tag", "lb.transfer"}}, {2, 100.0, 1.0});
+  EXPECT_EQ(net.totals().messages, 3u);
+  // The untagged send created no phantom tag series.
+  EXPECT_EQ(reg.find_counter("net.messages", {{"tag", ""}}), nullptr);
 
-  // ...and stays equal as traffic continues.
+  // ...and the same registry keeps counting as traffic continues.
   net.send(0, 1, [] {}, 5.0, 0.0, "lb.transfer");
   engine.run();
-  expect_registry_matches(reg, net.totals(), {});
-  expect_registry_matches(reg, net.counters("lb.transfer"),
-                          {{"tag", "lb.transfer"}});
-}
-
-TEST(NetworkMetrics, ResetCountersLeavesTheRegistryUntouched) {
-  sim::Engine engine;
-  sim::Network net(engine, unit_latency());
-  obs::MetricsRegistry& reg = net.metrics();  // lazily owned registry
-  net.send(0, 1, [] {}, 10.0, 0.0, "lb.vsa");
-  engine.run();
-  expect_registry_matches(reg, net.totals(), {});
-
-  // reset_counters() is an interval boundary for the legacy side only:
-  // the registry keeps cumulative simulation-wide totals.
-  net.reset_counters();
-  EXPECT_EQ(net.totals().messages, 0u);
-  const obs::Counter* messages = reg.find_counter("net.messages");
-  ASSERT_NE(messages, nullptr);
-  EXPECT_EQ(messages->value(), 1.0);
+  expect_net_counters(reg, {}, {4, 113.0, 3.0});
+  expect_net_counters(reg, {{"tag", "lb.transfer"}}, {3, 105.0, 2.0});
 }
 
 }  // namespace

@@ -115,7 +115,7 @@ TEST(ProfilerAccounting, DepthCapAbsorbsRunawayChains) {
   Profiler p(&fake_clock);
   Profiler::StackId at = Profiler::kRootStack;
   for (int i = 0; i < 200; ++i)
-    at = p.push(at, p.intern("f" + std::to_string(i), "x"));
+    at = p.push(at, p.intern(std::string("f").append(std::to_string(i)), "x"));
   // The chain stops growing at kMaxDepth; further pushes return the
   // capped node instead of deepening.
   EXPECT_EQ(p.stack_count(), 1u + Profiler::kMaxDepth);

@@ -10,10 +10,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "lb/controller.h"
 #include "lb/protocol_round.h"
+#include "obs/metrics.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 #include "workload/capacity.h"
@@ -155,9 +158,15 @@ TEST(ProtocolRound, AnalyticCountersMatchNetworkAccounting) {
             report.vsa.assignments.size());
 
   // And the network's own tag counters are the single source of truth.
-  EXPECT_EQ(net.counters(lb::kTagAggregation).messages,
-            report.aggregation.messages);
-  EXPECT_EQ(net.counters(lb::kTagVsa).messages, report.vsa.messages);
+  const auto tag_messages = [&net](std::string_view tag) {
+    const obs::Counter* c = net.metrics().find_counter(
+        "net.messages", {{"tag", std::string(tag)}});
+    return c == nullptr ? 0.0 : c->value();
+  };
+  EXPECT_EQ(tag_messages(lb::kTagAggregation),
+            static_cast<double>(report.aggregation.messages));
+  EXPECT_EQ(tag_messages(lb::kTagVsa),
+            static_cast<double>(report.vsa.messages));
   EXPECT_EQ(net.totals().messages,
             report.aggregation.messages + report.dissemination.messages +
                 report.vsa.messages +

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "obs/metrics.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 
@@ -162,9 +163,9 @@ TEST(Network, DeliversWithLatency) {
   net.send(10, 13, [&] { delivered_at = e.now(); }, 100.0);
   e.run();
   EXPECT_DOUBLE_EQ(delivered_at, 3.0);
-  EXPECT_EQ(net.messages_sent(), 1u);
-  EXPECT_DOUBLE_EQ(net.bytes_sent(), 100.0);
-  EXPECT_DOUBLE_EQ(net.mean_latency(), 3.0);
+  EXPECT_EQ(net.totals().messages, 1u);
+  EXPECT_DOUBLE_EQ(net.totals().bytes, 100.0);
+  EXPECT_DOUBLE_EQ(net.totals().mean_latency(), 3.0);
 }
 
 TEST(Network, ProcessingDelayAdds) {
@@ -174,18 +175,6 @@ TEST(Network, ProcessingDelayAdds) {
   net.send(0, 1, [&] { delivered_at = e.now(); }, 0.0, 1.5);
   e.run();
   EXPECT_DOUBLE_EQ(delivered_at, 3.5);
-}
-
-TEST(Network, CountersResetAndAccumulate) {
-  Engine e;
-  Network net(e, [](Endpoint, Endpoint) { return 1.0; });
-  net.send(0, 1, [] {});
-  net.send(0, 2, [] {}, 50.0);
-  EXPECT_EQ(net.messages_sent(), 2u);
-  net.reset_counters();
-  EXPECT_EQ(net.messages_sent(), 0u);
-  EXPECT_DOUBLE_EQ(net.bytes_sent(), 0.0);
-  e.run();
 }
 
 TEST(Network, LatencyMayBeAsymmetric) {
@@ -201,7 +190,7 @@ TEST(Network, LatencyMayBeAsymmetric) {
   net.send(1, 0, [&] { order.push_back(2); });  // arrives at 1
   e.run();
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
-  EXPECT_DOUBLE_EQ(net.mean_latency(), 3.0);
+  EXPECT_DOUBLE_EQ(net.totals().mean_latency(), 3.0);
 }
 
 TEST(Network, ProcessingDelayOrdersAgainstSameTimeEvents) {
@@ -218,29 +207,37 @@ TEST(Network, ProcessingDelayOrdersAgainstSameTimeEvents) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   // processing_delay is compute time, not wire time: latency accounting
   // sees only the link.
-  EXPECT_DOUBLE_EQ(net.mean_latency(), 2.0);
+  EXPECT_DOUBLE_EQ(net.totals().mean_latency(), 2.0);
 }
 
 TEST(Network, PerTagCountersTrackBytesIndependently) {
   Engine e;
-  Network net(e, [](Endpoint, Endpoint) { return 1.0; });
+  // Distinct per-destination latencies so each tag has its own sum.
+  Network net(e, [](Endpoint, Endpoint to) {
+    return static_cast<Time>(to);
+  });
   net.send(0, 1, [] {}, 10.0, 0.0, "alpha");
-  net.send(0, 1, [] {}, 20.0, 0.0, "alpha");
-  net.send(0, 1, [] {}, 5.0, 0.0, "beta");
+  net.send(0, 3, [] {}, 20.0, 0.0, "alpha");
+  net.send(0, 2, [] {}, 5.0, 0.0, "beta");
   net.send(0, 1, [] {}, 7.0);  // untagged: totals only
   e.run();
 
-  EXPECT_EQ(net.counters("alpha").messages, 2u);
-  EXPECT_DOUBLE_EQ(net.counters("alpha").bytes, 30.0);
-  EXPECT_EQ(net.counters("beta").messages, 1u);
-  EXPECT_DOUBLE_EQ(net.counters("beta").bytes, 5.0);
-  EXPECT_EQ(net.counters("gamma").messages, 0u);  // never used: all-zero
+  const obs::MetricsRegistry& reg = net.metrics();
+  const auto tagged = [&reg](const char* name, const char* tag) {
+    const obs::Counter* c = reg.find_counter(name, {{"tag", tag}});
+    return c == nullptr ? -1.0 : c->value();
+  };
+  EXPECT_EQ(tagged("net.messages", "alpha"), 2.0);
+  EXPECT_EQ(tagged("net.bytes", "alpha"), 30.0);
+  EXPECT_EQ(tagged("net.latency_sum", "alpha"), 4.0);
+  EXPECT_EQ(tagged("net.messages", "beta"), 1.0);
+  EXPECT_EQ(tagged("net.bytes", "beta"), 5.0);
+  EXPECT_EQ(tagged("net.latency_sum", "beta"), 2.0);
+  // A never-used tag has no series at all.
+  EXPECT_EQ(reg.find_counter("net.messages", {{"tag", "gamma"}}), nullptr);
   EXPECT_EQ(net.totals().messages, 4u);
   EXPECT_DOUBLE_EQ(net.totals().bytes, 42.0);
-
-  net.reset_counters();
-  EXPECT_EQ(net.counters("alpha").messages, 0u);
-  EXPECT_EQ(net.totals().messages, 0u);
+  EXPECT_DOUBLE_EQ(net.totals().latency_sum, 7.0);
 }
 
 TEST(TrafficCounters, MeanLatencyOfZeroMessagesIsZero) {
@@ -251,39 +248,8 @@ TEST(TrafficCounters, MeanLatencyOfZeroMessagesIsZero) {
 
   Engine e;
   Network net(e, [](Endpoint, Endpoint) { return 1.0; });
-  // A fresh network and a never-used tag both read as zero, not NaN.
-  EXPECT_DOUBLE_EQ(net.mean_latency(), 0.0);
-  EXPECT_DOUBLE_EQ(net.counters("never-used").mean_latency(), 0.0);
-}
-
-TEST(Network, ResetClearsEveryTagAndLaterTrafficStartsFresh) {
-  Engine e;
-  // Distinct per-destination latencies so each tag has its own mean.
-  Network net(e, [](Endpoint, Endpoint to) {
-    return static_cast<Time>(to);
-  });
-  net.send(0, 1, [] {}, 10.0, 0.0, "alpha");
-  net.send(0, 3, [] {}, 10.0, 0.0, "alpha");
-  net.send(0, 2, [] {}, 4.0, 0.0, "beta");
-  e.run();
-  EXPECT_DOUBLE_EQ(net.counters("alpha").mean_latency(), 2.0);
-  EXPECT_DOUBLE_EQ(net.counters("beta").mean_latency(), 2.0);
-
-  net.reset_counters();
-  for (const char* tag : {"alpha", "beta"}) {
-    EXPECT_EQ(net.counters(tag).messages, 0u) << tag;
-    EXPECT_DOUBLE_EQ(net.counters(tag).bytes, 0.0) << tag;
-    EXPECT_DOUBLE_EQ(net.counters(tag).mean_latency(), 0.0) << tag;
-  }
-  EXPECT_EQ(net.totals().messages, 0u);
-
-  // Traffic after the reset repopulates only its own tag.
-  net.send(0, 5, [] {}, 2.0, 0.0, "alpha");
-  e.run();
-  EXPECT_EQ(net.counters("alpha").messages, 1u);
-  EXPECT_DOUBLE_EQ(net.counters("alpha").mean_latency(), 5.0);
-  EXPECT_EQ(net.counters("beta").messages, 0u);
-  EXPECT_EQ(net.totals().messages, 1u);
+  // A fresh network reads as zero, not NaN.
+  EXPECT_DOUBLE_EQ(net.totals().mean_latency(), 0.0);
 }
 
 }  // namespace
