@@ -8,6 +8,7 @@
 // each figure binary small and the configurations consistent.
 #pragma once
 
+#include <array>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -163,6 +164,20 @@ inline void emit(const Table& table, bool csv) {
   } else {
     table.print_text(std::cout);
   }
+}
+
+/// One timed round's per-phase traffic and timing breakdown.
+inline Table phase_table(
+    const std::array<lb::PhaseMetrics, lb::kPhaseCount>& phases) {
+  Table t({"phase", "messages", "bytes", "start", "end", "duration"});
+  for (std::size_t p = 0; p < lb::kPhaseCount; ++p) {
+    const lb::PhaseMetrics& m = phases[p];
+    t.add_row({std::to_string(p + 1) + " " +
+                   lb::phase_name(static_cast<lb::Phase>(p)),
+               m.messages, Table::num(m.bytes, 0), Table::num(m.start, 1),
+               Table::num(m.end, 1), Table::num(m.duration(), 1)});
+  }
+  return t;
 }
 
 }  // namespace p2plb::bench

@@ -12,31 +12,34 @@
 //   * one full event-driven balancing round (lb::ProtocolRound) on a
 //     transit-stub topology with shortest-path latencies: per-phase
 //     message/byte/timing breakdown and end-to-end completion time.
+//
+// The observability flags (tools/session) capture the first timed round.
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <string_view>
 
 #include "bench_util.h"
 #include "ktree/protocol.h"
 #include "ktree/tree.h"
+#include "lb/health.h"
 #include "lb/protocol_round.h"
 #include "obs/binary_trace.h"
-#include "obs/format.h"
-#include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "obs/window.h"
+#include "session.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 
 namespace {
 
 using namespace p2plb;
+
+/// The sampling period `--series` implies without `--sample-every`.
+constexpr double kSeriesPeriod = 5.0;
 
 /// One end-to-end timed round's measurements (simulated and wall-clock).
 struct TimedRoundResult {
@@ -60,20 +63,18 @@ struct TimedRoundResult {
 
 /// Build the deployment and run one event-driven balancing round over
 /// ts5k-small latencies, timing the wall clock around the event loop.
-/// `obs_sink` != "none" attaches a local tracer streaming to a
-/// temporary file (removed afterwards) so the row measures tracing
-/// overhead; "null" runs tracer-free as the overhead baseline and
-/// "profile" attaches a local host-time profiler instead of a tracer.
-/// A non-null `profiler` is attached to the engine and network so the
-/// caller can export the round's profile.
+/// A non-null `session` is attached to the round and exports its
+/// outputs when the round ends.  `obs_sink` != "none" attaches a local
+/// tracer streaming to a temporary file (removed afterwards) so the row
+/// measures tracing overhead; "null" runs tracer-free as the overhead
+/// baseline and "profile" attaches a local host-time profiler instead of
+/// a tracer.
 TimedRoundResult run_timed_round(std::size_t nodes, std::size_t servers,
                                  std::uint64_t seed, sim::QueueKind kind,
-                                 obs::Tracer* tracer,
-                                 const std::string& metrics_path,
+                                 obstool::Session* session,
                                  lb::BalanceReport* report_out,
                                  double* mean_latency_out,
-                                 const std::string& obs_sink = "none",
-                                 obs::Profiler* profiler = nullptr) {
+                                 const std::string& obs_sink = "none") {
   TimedRoundResult r;
   r.nodes = nodes;
   r.engine = kind == sim::QueueKind::kTimerWheel ? "wheel" : "heap";
@@ -93,7 +94,8 @@ TimedRoundResult run_timed_round(std::size_t nodes, std::size_t servers,
                             d.topology.graph.vertex_count()));
   sim::Engine engine(kind);
   sim::Network net(engine, oracle.latency());
-  if (tracer != nullptr) net.attach_tracer(tracer);
+  std::optional<lb::HealthProbe> health;
+  if (session != nullptr) session->attach(engine, net, &health.emplace(d.ring));
   obs::Tracer obs_tracer;
   std::optional<obs::BinaryTraceSink> binary_sink;
   std::optional<obs::JsonlTraceSink> jsonl_sink;
@@ -107,8 +109,11 @@ TimedRoundResult run_timed_round(std::size_t nodes, std::size_t servers,
     obs_tracer.set_sink(&jsonl_sink.emplace(obs_tmp));
     net.attach_tracer(&obs_tracer);
   }
-  std::optional<obs::Profiler> own_profiler;
-  if (obs_sink == "profile") profiler = &own_profiler.emplace();
+  std::optional<obs::Profiler> profiler;
+  if (obs_sink == "profile") {
+    engine.attach_profiler(&profiler.emplace());
+    net.attach_profiler(&*profiler);
+  }
   std::optional<obs::WindowedAggregator> windows;
   if (obs_sink == "windows") {
     // The online metrics plane on the hot path: every send records into
@@ -116,13 +121,10 @@ TimedRoundResult run_timed_round(std::size_t nodes, std::size_t servers,
     windows.emplace(obs::WindowConfig{5.0, 64});
     net.attach_windows(&*windows);
   }
-  if (profiler != nullptr) {
-    engine.attach_profiler(profiler);
-    net.attach_profiler(profiler);
-  }
   lb::ProtocolRound round(net, d.ring, {}, round_rng);
   const auto t0 = std::chrono::steady_clock::now();
   round.start();
+  if (session != nullptr) session->start_sampling();
   engine.run();
   if (obs_tracer.sink() != nullptr) obs_tracer.sink()->flush();
   const auto t1 = std::chrono::steady_clock::now();
@@ -141,9 +143,9 @@ TimedRoundResult run_timed_round(std::size_t nodes, std::size_t servers,
   r.messages = net.totals().messages;
   r.completion_time = report.completion_time;
   r.transfers_applied = report.transfers_applied;
-  if (!metrics_path.empty()) {
-    obs::write_metrics_file(net.metrics(), metrics_path);
-    std::cerr << "metrics written to " << metrics_path << "\n";
+  if (session != nullptr) {
+    session->note_round(report.phases);
+    session->finish();
   }
   if (report_out != nullptr) *report_out = report;
   if (mean_latency_out != nullptr)
@@ -212,12 +214,7 @@ int main(int argc, char** argv) {
                "wheel");
   cli.add_flag("bench-json",
                "write timed-round measurements to this JSON file", "");
-  cli.add_flag("trace", p2plb::obs::kTraceFlagHelp, "");
-  cli.add_flag("metrics", p2plb::obs::kMetricsFlagHelp, "");
-  cli.add_flag("profile",
-               std::string(p2plb::obs::kProfileFlagHelp) +
-                   "; captures the first timed round",
-               "");
+  p2plb::obstool::Session::add_flags(cli, kSeriesPeriod);
   cli.add_flag("csv", "emit CSV instead of aligned tables", "false");
   if (!cli.parse(argc, argv)) return 0;
   const bool csv = cli.get_bool("csv");
@@ -298,54 +295,25 @@ int main(int argc, char** argv) {
   if (timed_sizes.empty() && obs_sizes.empty())
     timed_sizes.push_back(static_cast<std::size_t>(cli.get_int("timed-nodes")));
 
-  obs::Tracer tracer;
-  const std::string trace_path = cli.get_string("trace");
-  const std::string metrics_path = cli.get_string("metrics");
-  const std::string profile_path = cli.get_string("profile");
-  std::optional<obs::Profiler> profiler;
-  if (!profile_path.empty()) profiler.emplace();
+  obstool::Session session(cli, kSeriesPeriod, seed,
+                           timed_sizes.empty() ? 0 : timed_sizes.front());
   std::vector<TimedRoundResult> results;
   for (std::size_t i = 0; i < timed_sizes.size(); ++i) {
-    // Trace, metrics and profile capture the first size only; the rest
+    // The observability outputs capture the first size only; the rest
     // are timing sweeps.
     const bool capture = i == 0;
     lb::BalanceReport report;
     double mean_latency = 0.0;
-    results.push_back(run_timed_round(
-        timed_sizes[i], servers, seed, kind,
-        capture && !trace_path.empty() ? &tracer : nullptr,
-        capture ? metrics_path : std::string(), &report, &mean_latency,
-        "none", capture && profiler ? &*profiler : nullptr));
+    results.push_back(run_timed_round(timed_sizes[i], servers, seed, kind,
+                                      capture ? &session : nullptr, &report,
+                                      &mean_latency));
     const TimedRoundResult& r = results.back();
-    if (capture && profiler) {
-      // Sim-time axis for the crosstab: phase windows named after the
-      // network tags so they join the matching frames.
-      constexpr std::array<std::string_view, lb::kPhaseCount> kPhaseTags = {
-          lb::kTagAggregation, lb::kTagDissemination, lb::kTagVsa,
-          lb::kTagTransfer};
-      double round_end = report.phases[0].start;
-      for (std::size_t p = 0; p < lb::kPhaseCount; ++p) {
-        const lb::PhaseMetrics& m = report.phases[p];
-        profiler->note_span(kPhaseTags[p], m.start, m.end);
-        round_end = std::max(round_end, m.end);
-      }
-      profiler->note_span("round", report.phases[0].start, round_end);
-    }
 
     print_heading(std::cout,
                   "one event-driven balancing round, ts5k-small, N = " +
                       std::to_string(r.nodes) + " (" + r.engine +
                       " engine)");
-    Table phases({"phase", "messages", "bytes", "start", "end", "duration"});
-    for (std::size_t p = 0; p < lb::kPhaseCount; ++p) {
-      const lb::PhaseMetrics& m = report.phases[p];
-      phases.add_row({std::to_string(p + 1) + " " +
-                          lb::phase_name(static_cast<lb::Phase>(p)),
-                      m.messages, Table::num(m.bytes, 0),
-                      Table::num(m.start, 1), Table::num(m.end, 1),
-                      Table::num(m.duration(), 1)});
-    }
-    bench::emit(phases, csv);
+    bench::emit(bench::phase_table(report.phases), csv);
     std::cout << "\nround completion time: "
               << Table::num(report.completion_time, 1)
               << " latency units  (heavy " << report.before.heavy_count
@@ -357,15 +325,6 @@ int main(int argc, char** argv) {
               << Table::num(r.events_per_sec / 1e6, 2) << " M events/s)\n"
               << "(phase 4 starts before phase 3 ends: transfers overlap "
                  "the sweep)\n";
-  }
-  if (!trace_path.empty()) {
-    obs::write_trace_file(tracer, trace_path);
-    std::cerr << "trace written to " << trace_path << " ("
-              << tracer.event_count() << " events)\n";
-  }
-  if (profiler) {
-    profiler->write_profile_file(profile_path);
-    std::cerr << "host-time profile written to " << profile_path << "\n";
   }
 
   // --- observability overhead -------------------------------------------
@@ -384,8 +343,9 @@ int main(int argc, char** argv) {
       double base_wall = 0.0;
       for (const std::string sink :
            {"null", "binary", "jsonl", "profile", "windows"}) {
-        results.push_back(run_timed_round(n, servers, seed, kind, nullptr,
-                                          "", nullptr, nullptr, sink));
+        results.push_back(
+            run_timed_round(n, servers, seed, kind, nullptr, nullptr, nullptr,
+                            sink));
         const TimedRoundResult& r = results.back();
         if (sink == "null") base_wall = r.wall_seconds;
         const double overhead =

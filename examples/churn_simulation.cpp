@@ -17,21 +17,14 @@
 // round still completes (transfers whose endpoints vanished are skipped,
 // none are lost from the accounting).
 //
-// With `--sample-every T --series FILE` an obs::Sampler additionally
-// records the lb::HealthProbe gauges (plus net.* totals) every T time
-// units, and the crash burst drops an `event.crash` marker into the same
-// series -- feed the file to tools/p2plb_report to measure how long the
-// system takes to re-converge.
-//
-// With `--alerts rules.conf` (and optional `--windows W` /
-// `--alerts-out FILE`) an obs::WindowedAggregator + obs::AlertEngine
-// watch the same signals online: the CI alert-smoke job runs this
-// scenario and requires the imbalance rule to fire during the crash
-// burst and resolve after re-convergence.
+// The observability flags are tools/session's.  The crash burst drops an
+// `event.crash` marker into the `--series` file, from which
+// tools/p2plb_report measures how long the system takes to re-converge;
+// the CI alert-smoke job runs this scenario with `--alerts` and requires
+// the imbalance rule to fire during the burst and resolve afterwards.
 #include <algorithm>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/cli.h"
@@ -39,13 +32,7 @@
 #include "common/table.h"
 #include "lb/health.h"
 #include "lb/protocol_round.h"
-#include "obs/alert.h"
-#include "obs/format.h"
-#include "obs/metrics.h"
-#include "obs/sampler.h"
-#include "obs/timeseries.h"
-#include "obs/trace.h"
-#include "obs/window.h"
+#include "session.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 #include "workload/capacity.h"
@@ -55,9 +42,12 @@ namespace {
 
 using namespace p2plb;
 
+/// Root seed of the scenario (it has no --seed flag).
+constexpr std::uint64_t kSeed = 99;
+
 struct World {
   chord::Ring ring;
-  Rng rng{99};
+  Rng rng{kSeed};
   workload::CapacityProfile capacities =
       workload::CapacityProfile::gnutella_like();
   double utilization = 0.25;
@@ -108,6 +98,9 @@ struct World {
   }
 };
 
+/// The sampling period `--series` implies without `--sample-every`.
+constexpr double kSeriesPeriod = 10.0;
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -120,20 +113,12 @@ int main(int argc, char** argv) {
                "24");
   cli.add_flag("crash-burst",
                "nodes crashed at once under the designated round", "1");
-  cli.add_flag("sample-every",
-               "sampling period in simulated time (0 = no sampling)", "0");
-  cli.add_flag("trace", obs::kTraceFlagHelp, "");
-  cli.add_flag("metrics", obs::kMetricsFlagHelp, "");
-  cli.add_flag("series", obs::kSeriesFlagHelp, "");
-  cli.add_flag("windows",
-               std::string(obs::kWindowsFlagHelp) + "; 0 = off", "0");
-  cli.add_flag("alerts",
-               std::string(obs::kAlertsFlagHelp) + ", default width 10", "");
-  cli.add_flag("alerts-out", obs::kAlertsOutFlagHelp, "");
+  obstool::Session::add_flags(cli, kSeriesPeriod);
   if (!cli.parse(argc, argv)) return 0;
 
   World world;
   const auto initial = static_cast<std::size_t>(cli.get_int("nodes"));
+  obstool::Session session(cli, kSeriesPeriod, kSeed, initial);
   world.ring = workload::build_ring(initial, 5, world.capacities, world.rng);
   world.reassign_loads();
 
@@ -147,52 +132,9 @@ int main(int argc, char** argv) {
   sim::Network net(engine, [](sim::Endpoint a, sim::Endpoint b) {
     return a == b ? 0.0 : 1.0;
   });
-  obs::Tracer tracer;
-  const std::string trace_path = cli.get_string("trace");
-  const std::string metrics_path = cli.get_string("metrics");
-  const std::string series_path = cli.get_string("series");
-  if (!trace_path.empty()) net.attach_tracer(&tracer);
-
   constexpr double kEpsilon = 0.1;
-  double sample_every = cli.get_double("sample-every");
-  if (sample_every <= 0.0 && !series_path.empty()) sample_every = 10.0;
-  obs::TimeSeriesSink sink;
-  std::optional<obs::Sampler> sampler;
-  lb::HealthProbe health(world.ring, {kEpsilon, "health"});
-  if (sample_every > 0.0) {
-    sampler.emplace(sink, sample_every);
-    sampler->add_probe([&health](double time, obs::TimeSeriesSink& s) {
-      health.sample_into(time, s);
-    });
-    sampler->add_registry(net.metrics(), {"net."});
-  }
-
-  double window_width = cli.get_double("windows");
-  const std::string alerts_path = cli.get_string("alerts");
-  const std::string alerts_out = cli.get_string("alerts-out");
-  const bool windowing = window_width > 0.0 || !alerts_path.empty();
-  if (windowing && window_width <= 0.0) window_width = 10.0;
-  std::optional<obs::WindowedAggregator> windows;
-  std::optional<obs::AlertEngine> alerts;
-  if (windowing) {
-    // Online sensing: the aggregator is passive (it schedules nothing),
-    // fed by the network's sends and the health probe's boundary
-    // sampling; the alert engine evaluates at every bucket close.
-    windows.emplace(obs::WindowConfig{window_width, 64});
-    net.attach_windows(&*windows);
-    health.register_windows(*windows);
-    if (!alerts_path.empty()) {
-      alerts.emplace(*windows, obs::load_alert_rules_file(alerts_path));
-      if (!trace_path.empty()) alerts->attach_tracer(&tracer);
-      alerts->attach_metrics(&net.metrics());
-    }
-    if (sampler)
-      // The sampler's existing cadence drives window boundaries through
-      // quiet stretches between rounds (no new events are added).
-      sampler->add_probe([&windows](double time, obs::TimeSeriesSink&) {
-        windows->advance_to(time);
-      });
-  }
+  const lb::HealthProbe health(world.ring, {kEpsilon, "health"});
+  session.attach(engine, net, &health);
 
   Table t({"t (s)", "nodes", "heavy % pre", "max overload pre",
            "heavy % post", "max overload post", "moved load",
@@ -265,12 +207,9 @@ int main(int argc, char** argv) {
           ++crashed;
         }
         world.reassign_loads();
-        if (sampler) {
-          // Mark the disturbance and capture the spike immediately.
-          sink.append(engine.now(), "event.crash",
-                      static_cast<double>(crashed));
-          sampler->tick(engine.now());
-        }
+        // Mark the disturbance and capture the spike immediately.
+        session.mark(engine.now(), "event.crash",
+                     static_cast<double>(crashed));
       });
       crashed_round = &round;
     }
@@ -280,10 +219,9 @@ int main(int argc, char** argv) {
   // The churn processes reschedule themselves forever; run to a horizon
   // just past the last balancing sweep instead of draining the queue.
   // (The sampler chain never parks here: the churn keeps the engine busy.)
-  if (sampler) sampler->start(engine);
+  session.start_sampling();
   engine.run_until(kBalanceInterval * (intervals + 0.5));
-  // Close every bucket the horizon passed, so trailing resolves land.
-  if (windows) windows->advance_to(engine.now());
+  session.finish();
   std::cout << "churn simulation: " << intervals << " balancing intervals, "
             << engine.events_executed() << " events, final membership "
             << world.ring.live_node_count() << " nodes, "
@@ -301,31 +239,13 @@ int main(int argc, char** argv) {
                  "at delivery; the round still completed in "
               << Table::num(r.completion_time, 1) << " time units)\n";
   }
-  if (!trace_path.empty()) {
-    obs::write_trace_file(tracer, trace_path);
-    std::cerr << "trace written to " << trace_path << " ("
-              << tracer.event_count() << " events)\n";
-  }
-  if (!metrics_path.empty()) {
-    obs::write_metrics_file(net.metrics(), metrics_path);
-    std::cerr << "metrics written to " << metrics_path << "\n";
-  }
-  if (!series_path.empty()) {
-    obs::write_series_file(sink, series_path);
-    std::cerr << "series written to " << series_path << " (" << sink.size()
-              << " samples)\n";
-  }
-  if (alerts) {
-    std::cout << "\nalert transitions (" << alerts->events().size()
+  if (session.alerting()) {
+    std::cout << "\nalert transitions (" << session.alert_events().size()
               << "):\n";
-    for (const obs::AlertEvent& e : alerts->events())
+    for (const obs::AlertEvent& e : session.alert_events())
       std::cout << "  t=" << Table::num(e.t, 1) << "  " << e.rule << "  "
                 << (e.fire ? "fire" : "resolve")
                 << "  value=" << Table::num(e.value, 3) << "\n";
-    if (!alerts_out.empty()) {
-      obs::write_alerts_file(*alerts, alerts_out);
-      std::cerr << "alerts written to " << alerts_out << "\n";
-    }
   }
   return 0;
 }

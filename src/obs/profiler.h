@@ -153,9 +153,6 @@ class Profiler {
     double sim_start = 0.0;
     double sim_end = 0.0;
   };
-  [[nodiscard]] const std::vector<SpanNote>& notes() const noexcept {
-    return notes_;
-  }
 
   /// Collapsed stacks, one line per trie node with self time:
   /// "frame;frame;...;frame <self_microseconds>" -- the folded format

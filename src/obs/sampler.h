@@ -5,9 +5,9 @@
 // snapshots its attached MetricsRegistry instances, appending one Sample
 // per reading at the current simulated time.  It is driven by
 // sim::Engine::every, but obs sits *below* sim in the layer order, so
-// start() is a template over the engine type: the obs library never
-// references sim symbols, and the template resolves in consumer TUs that
-// link both (tools, examples, tests).
+// ensure_started() is a template over the engine type: the obs library
+// never references sim symbols, and the template resolves in consumer
+// TUs that link both (tools, examples, tests).
 //
 // Lifetime vs. engine drains: the timed balancing controller runs the
 // engine to *idle* once per round (`engine.run()`), which a naively
@@ -17,10 +17,8 @@
 // (Inside a periodic callback the engine has already removed the
 // callback's own event, so `pending() == 0` means "nothing else left".)
 //
-// Determinism: a *disabled* sampler (set_enabled(false)) schedules
-// nothing at all -- attaching one must not perturb the event order, which
-// the schedule-invariance test pins.  An enabled sampler adds events but
-// its ticks only read state, never mutate it.
+// Determinism: no sampler (a null Sampler*) is the off state.  A sampler
+// adds events, but its ticks only read state, never mutate it.
 #pragma once
 
 #include <functional>
@@ -66,7 +64,6 @@ class Sampler {
   /// the periodic chain; public so callers can force a reading at an
   /// interesting instant (e.g. right after a scripted crash).
   void tick(double t) {
-    if (!enabled_) return;
     for (const Probe& probe : probes_) probe(t, sink_);
     for (const auto& [registry, prefixes] : registries_) {
       const MetricsSnapshot snap = registry->snapshot();
@@ -78,18 +75,16 @@ class Sampler {
     ++ticks_;
   }
 
-  /// Begin the periodic chain on `engine` (sim::Engine or compatible):
-  /// one synchronous tick now, then one per period until the engine would
-  /// otherwise go idle.  No-op when disabled.  REQUIREs the chain is not
-  /// already running.
+  /// (Re-)arm the periodic chain on `engine` (sim::Engine or
+  /// compatible): one synchronous tick now, then one per period until the
+  /// engine would otherwise go idle (see the header comment).  No-op while
+  /// the chain is running.
   template <typename Engine>
-  void start(Engine& engine) {
-    if (!enabled_) return;
-    P2PLB_REQUIRE_MSG(!running_, "sampler already running");
+  void ensure_started(Engine& engine) {
+    if (running_) return;
     running_ = true;
     tick(engine.now());
     engine.every(period_, [this, &engine]() {
-      if (!running_) return false;
       tick(engine.now());
       if (engine.pending() == 0) {
         // The engine is about to drain; park the chain so run() returns.
@@ -100,23 +95,7 @@ class Sampler {
     });
   }
 
-  /// Re-arm the chain if it parked itself at an engine drain (see the
-  /// header comment); no-op when already running or disabled.
-  template <typename Engine>
-  void ensure_started(Engine& engine) {
-    if (enabled_ && !running_) start(engine);
-  }
-
-  /// Park the chain; the pending periodic event (if any) fires once more
-  /// but samples nothing.
-  void stop() noexcept { running_ = false; }
-
-  /// A disabled sampler schedules no events and records no samples --
-  /// attaching one is provably invisible to the simulation schedule.
-  void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
   [[nodiscard]] bool running() const noexcept { return running_; }
-  [[nodiscard]] double period() const noexcept { return period_; }
   /// Number of ticks taken so far.
   [[nodiscard]] std::size_t ticks() const noexcept { return ticks_; }
 
@@ -137,7 +116,6 @@ class Sampler {
   double period_;
   std::vector<Probe> probes_;
   std::vector<RegistryProbe> registries_;
-  bool enabled_ = true;
   bool running_ = false;
   std::size_t ticks_ = 0;
 };

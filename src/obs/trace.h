@@ -199,16 +199,6 @@ class Tracer {
   /// passes through the tracer) stays exact.  keep == of disables.
   void set_trace_sampling(std::uint64_t keep, std::uint64_t of,
                           std::uint64_t seed);
-  /// The active sampling policy (keep == of means "keep everything"),
-  /// so run artifacts -- flight-recorder dumps, profile headers -- can
-  /// record which kept set a trace file represents.
-  [[nodiscard]] std::uint64_t sample_keep() const noexcept {
-    return sample_keep_;
-  }
-  [[nodiscard]] std::uint64_t sample_of() const noexcept { return sample_of_; }
-  [[nodiscard]] std::uint64_t sample_seed() const noexcept {
-    return sample_seed_;
-  }
   /// True when events of `trace` are kept under the current sampling
   /// policy.  Uncausal events (trace 0) are always kept.
   [[nodiscard]] bool keeps(std::uint64_t trace) const noexcept {

@@ -234,8 +234,12 @@ TEST(ProfilerExport, NoteSpanValidates) {
   EXPECT_THROW(p.note_span("bad name", 0.0, 1.0), PreconditionError);
   EXPECT_THROW(p.note_span("ok", 2.0, 1.0), PreconditionError);
   p.note_span("ok", 1.0, 2.0);
-  ASSERT_EQ(p.notes().size(), 1u);
-  EXPECT_EQ(p.notes()[0].name, "ok");
+  std::ostringstream os;
+  p.write_profile(os);
+  const std::string text = os.str();
+  const std::size_t at = text.find("\nspan ok 1 2\n");
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(text.find("\nspan ", at + 1), std::string::npos);  // only one
 }
 
 TEST(ProftoolParser, RejectsCorruptProfiles) {

@@ -42,6 +42,7 @@ constexpr std::initializer_list<LayerRule> kLayerDag = {
     // binaries stay ungoverned -- they compose every layer by design).
     {"tools/lint", {}},
     {"tools/prof", {"common", "obs"}},
+    {"tools/session", {"common", "obs", "sim/core", "sim", "lb"}},
     {"tools/trace", {"common", "obs"}},
 };
 
