@@ -216,16 +216,23 @@ void BM_TransitStubGenerate(benchmark::State& state) {
 BENCHMARK(BM_TransitStubGenerate)->Unit(benchmark::kMillisecond);
 
 void BM_Dijkstra5k(benchmark::State& state) {
+  const bool large = state.range(0) == 1;
   Rng rng(8);
   const auto topo = topo::generate_transit_stub(
-      topo::TransitStubParams::ts5k_large(), rng, "bench");
+      large ? topo::TransitStubParams::ts5k_large()
+            : topo::TransitStubParams::ts5k_small(),
+      rng, "bench");
   Rng pick(9);
+  // One scratch for all runs, as DistanceOracle keeps it.
+  topo::ShortestPathScratch scratch;
   for (auto _ : state) {
     const auto source =
         static_cast<topo::Vertex>(pick.below(topo.graph.vertex_count()));
-    benchmark::DoNotOptimize(topo::shortest_paths(topo.graph, source));
+    benchmark::DoNotOptimize(
+        topo::shortest_paths(topo.graph, source, scratch));
   }
+  state.SetLabel(large ? "ts5k-large" : "ts5k-small");
 }
-BENCHMARK(BM_Dijkstra5k)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Dijkstra5k)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <set>
 
 #include "bench_util.h"
 #include "ktree/protocol.h"
@@ -52,6 +53,10 @@ struct TimedRoundResult {
   /// the delta gate) or "windows" (WindowedAggregator fed from the send
   /// path, no tracer).
   std::string sink = "none";
+  /// Set-up: one oracle row per distinct attachment vertex, filled before
+  /// the round so that no shortest-path search lands in wall_seconds.
+  double oracle_fill_seconds = 0.0;
+  std::uint64_t dijkstra_runs = 0;
   double wall_seconds = 0.0;
   std::uint64_t events = 0;
   double events_per_sec = 0.0;
@@ -61,8 +66,9 @@ struct TimedRoundResult {
   std::uint64_t trace_bytes = 0;  ///< on-disk trace size (sink rows)
 };
 
-/// Build the deployment and run one event-driven balancing round over
-/// ts5k-small latencies, timing the wall clock around the event loop.
+/// Build the deployment, fill the distance oracle, and run one
+/// event-driven balancing round over ts5k-small latencies, timing the
+/// fill and the event loop separately.
 /// A non-null `session` is attached to the round and exports its
 /// outputs when the round ends.  `obs_sink` != "none" attaches a local
 /// tracer streaming to a temporary file (removed afterwards) so the row
@@ -92,6 +98,16 @@ TimedRoundResult run_timed_round(std::size_t nodes, std::size_t servers,
       d.topology.graph,
       std::min<std::size_t>(std::max<std::size_t>(nodes, 64),
                             d.topology.graph.vertex_count()));
+  const auto fill0 = std::chrono::steady_clock::now();
+  std::set<std::uint32_t> attachments;
+  for (chord::NodeIndex i = 0; i < d.ring.node_count(); ++i)
+    attachments.insert(d.ring.node(i).attachment);
+  for (const std::uint32_t v : attachments)
+    (void)oracle.distance(v, v == 0 ? 1 : 0);
+  r.oracle_fill_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - fill0)
+                              .count();
+  r.dijkstra_runs = oracle.dijkstra_runs();
   sim::Engine engine(kind);
   sim::Network net(engine, oracle.latency());
   std::optional<lb::HealthProbe> health;
@@ -164,7 +180,9 @@ void write_bench_json(const std::string& path,
     const TimedRoundResult& r = rounds[i];
     out << "    {\"nodes\": " << r.nodes << ", \"engine\": \"" << r.engine
         << "\", \"sink\": \"" << r.sink
-        << "\", \"wall_seconds\": " << r.wall_seconds
+        << "\", \"oracle_fill_seconds\": " << r.oracle_fill_seconds
+        << ", \"dijkstra_runs\": " << r.dijkstra_runs
+        << ", \"wall_seconds\": " << r.wall_seconds
         << ", \"events\": " << r.events
         << ", \"events_per_sec\": " << r.events_per_sec
         << ", \"messages\": " << r.messages
@@ -320,6 +338,8 @@ int main(int argc, char** argv) {
               << " -> " << report.after.heavy_count << ", "
               << report.transfers_applied << " transfers, mean hop latency "
               << Table::num(mean_latency, 2) << ")\n"
+              << "set-up, oracle fill: " << Table::num(r.oracle_fill_seconds, 3)
+              << " s for " << r.dijkstra_runs << " Dijkstra runs\n"
               << "wall clock: " << Table::num(r.wall_seconds, 3) << " s for "
               << r.events << " events ("
               << Table::num(r.events_per_sec / 1e6, 2) << " M events/s)\n"

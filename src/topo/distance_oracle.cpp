@@ -21,7 +21,7 @@ const std::vector<double>& DistanceOracle::row(Vertex source) {
     std::vector<double>& r = dense_[source];
     if (r.empty()) {
       ++runs_;
-      r = shortest_paths(graph_, source);
+      r = shortest_paths(graph_, source, scratch_);
     }
     return r;
   }
@@ -30,7 +30,7 @@ const std::vector<double>& DistanceOracle::row(Vertex source) {
     return rows_.front().second;
   }
   ++runs_;
-  rows_.emplace_front(source, shortest_paths(graph_, source));
+  rows_.emplace_front(source, shortest_paths(graph_, source, scratch_));
   index_[source] = rows_.begin();
   if (rows_.size() > capacity_) {
     index_.erase(rows_.back().first);

@@ -2,9 +2,12 @@
 //
 // Transfer-cost accounting needs distances between arbitrary (heavy,
 // light) vertex pairs.  A full all-pairs table for a 5k-vertex topology
-// would be ~200 MB; instead the oracle runs one Dijkstra per distinct
-// source and keeps a bounded LRU cache of source rows, plus a batch API
-// that groups queries by source for the figure benchmarks.
+// would be ~200 MB; instead the oracle runs one single-source shortest-path
+// search per distinct source and keeps a bounded LRU cache of source rows,
+// plus a batch API that groups queries by source for the figure
+// benchmarks.  Each search is topo::shortest_paths, a bucket-queue
+// Dijkstra that is exact for any positive weights; its bucket scratch is
+// reused across all of the oracle's runs.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +58,7 @@ class DistanceOracle {
   std::size_t capacity_;
   std::uint64_t runs_ = 0;
   double unreachable_latency_ = 1e6;
+  ShortestPathScratch scratch_;
   // Dense mode (capacity >= vertex count): one lazily filled row per
   // vertex, no eviction, no per-query hashing.  Empty row = not computed.
   std::vector<std::vector<double>> dense_;

@@ -1,6 +1,7 @@
 #include "topo/graph.h"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 
 namespace p2plb::topo {
@@ -9,11 +10,13 @@ void Graph::add_edge(Vertex a, Vertex b, double weight) {
   P2PLB_REQUIRE(a < adjacency_.size());
   P2PLB_REQUIRE(b < adjacency_.size());
   P2PLB_REQUIRE_MSG(a != b, "self-loops are not allowed");
-  P2PLB_REQUIRE(weight > 0.0);
+  P2PLB_REQUIRE(weight > 0.0 && weight < kUnreachable);
   P2PLB_REQUIRE_MSG(!has_edge(a, b), "parallel edge");
   adjacency_[a].push_back({b, weight});
   adjacency_[b].push_back({a, weight});
   ++edge_count_;
+  min_weight_ = std::min(min_weight_, weight);
+  max_weight_ = std::max(max_weight_, weight);
 }
 
 bool Graph::has_edge(Vertex a, Vertex b) const {
@@ -36,51 +39,68 @@ bool Graph::is_connected() const {
   });
 }
 
-std::vector<double> shortest_paths(const Graph& graph, Vertex source) {
+namespace {
+
+/// Ring length cap.  Past it buckets widen to max_weight / kMaxBuckets, so
+/// an extreme weight ratio costs same-bucket re-relaxations instead of
+/// memory; the labels stay exact either way.
+constexpr double kMaxBuckets = 4096.0;
+
+}  // namespace
+
+std::vector<double> shortest_paths(const Graph& graph, Vertex source,
+                                   ShortestPathScratch& scratch) {
   P2PLB_REQUIRE(source < graph.vertex_count());
   std::vector<double> dist(graph.vertex_count(), kUnreachable);
-  using Entry = std::pair<double, Vertex>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
   dist[source] = 0.0;
-  heap.push({0.0, source});
-  while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
-    if (d > dist[v]) continue;  // stale entry
-    for (const HalfEdge& e : graph.neighbors(v)) {
-      const double nd = d + e.weight;
-      if (nd < dist[e.to]) {
-        dist[e.to] = nd;
-        heap.push({nd, e.to});
+  if (graph.edge_count() == 0) return dist;
+  // Bucket k holds labels in [k * width, (k + 1) * width).  A relaxation
+  // from bucket k lands in bucket k + 1 or later (width <= every weight)
+  // and at most ceil(max / width) buckets on, so a ring that long plus one
+  // never wraps onto a live bucket.  Labels within one bucket cannot
+  // improve each other in exact arithmetic, so a vertex is normally
+  // scanned once.  Rounding (or a capped, wider bucket) can still put an
+  // improvement into the current bucket: it is pushed there and scanned
+  // again.  Scanning stops only when no edge relaxes, which is the same
+  // least fixpoint a binary heap reaches, so the rows match bit for bit.
+  const double max_weight = graph.max_edge_weight();
+  const double width =
+      std::max(graph.min_edge_weight(), max_weight / kMaxBuckets);
+  const auto ring_size =
+      static_cast<std::size_t>(std::ceil(max_weight / width)) + 1;
+  auto& ring = scratch.buckets;
+  if (ring.size() < ring_size) ring.resize(ring_size);
+  for (auto& bucket : ring) bucket.clear();  // left over if a run threw
+  std::size_t current = 0;
+  std::size_t pending = 1;
+  ring[0].push_back({0.0, source});
+  while (pending > 0) {
+    auto& bucket = ring[current % ring_size];
+    while (!bucket.empty()) {
+      const auto [d, v] = bucket.back();
+      bucket.pop_back();
+      --pending;
+      if (d != dist[v]) continue;  // stale: v improved after this push
+      for (const HalfEdge& e : graph.neighbors(v)) {
+        const double nd = d + e.weight;
+        if (nd < dist[e.to]) {
+          dist[e.to] = nd;
+          const std::size_t k =
+              std::clamp(static_cast<std::size_t>(nd / width), current,
+                         current + ring_size - 1);
+          ring[k % ring_size].push_back({nd, e.to});
+          ++pending;
+        }
       }
     }
+    ++current;
   }
   return dist;
 }
 
-double shortest_path_distance(const Graph& graph, Vertex from, Vertex to) {
-  P2PLB_REQUIRE(from < graph.vertex_count());
-  P2PLB_REQUIRE(to < graph.vertex_count());
-  if (from == to) return 0.0;
-  std::vector<double> dist(graph.vertex_count(), kUnreachable);
-  using Entry = std::pair<double, Vertex>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  dist[from] = 0.0;
-  heap.push({0.0, from});
-  while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
-    if (v == to) return d;
-    if (d > dist[v]) continue;
-    for (const HalfEdge& e : graph.neighbors(v)) {
-      const double nd = d + e.weight;
-      if (nd < dist[e.to]) {
-        dist[e.to] = nd;
-        heap.push({nd, e.to});
-      }
-    }
-  }
-  return kUnreachable;
+std::vector<double> shortest_paths(const Graph& graph, Vertex source) {
+  ShortestPathScratch scratch;
+  return shortest_paths(graph, source, scratch);
 }
 
 std::vector<std::uint32_t> bfs_hops(const Graph& graph, Vertex source) {

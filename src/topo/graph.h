@@ -3,11 +3,17 @@
 // The graph is the physical-network substrate: vertices are routers/hosts,
 // edge weights are latency units (1 per intradomain hop, 3 per interdomain
 // hop in the paper's model).  Vertex ids are dense [0, n).
+//
+// Shortest paths run on a bucket queue (Dial's algorithm with Dinitz's
+// real-weight buckets, one min-edge-weight wide) instead of a binary heap.
+// The result is exact for any positive finite weights: bit for bit the
+// distances a binary-heap Dijkstra computes, rounding included.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -36,8 +42,9 @@ class Graph {
   }
   [[nodiscard]] std::size_t edge_count() const noexcept { return edge_count_; }
 
-  /// Add an undirected edge (a != b, weight > 0).  Parallel edges are
-  /// rejected so generators cannot silently double-connect vertices.
+  /// Add an undirected edge (a != b, 0 < weight < infinity).  Parallel
+  /// edges are rejected so generators cannot silently double-connect
+  /// vertices.
   void add_edge(Vertex a, Vertex b, double weight);
 
   [[nodiscard]] bool has_edge(Vertex a, Vertex b) const;
@@ -55,22 +62,36 @@ class Graph {
   /// empty).
   [[nodiscard]] bool is_connected() const;
 
+  /// Smallest and largest edge weight (infinity and 0 while the graph has
+  /// no edges).  They size the shortest-path bucket ring.
+  [[nodiscard]] double min_edge_weight() const noexcept { return min_weight_; }
+  [[nodiscard]] double max_edge_weight() const noexcept { return max_weight_; }
+
  private:
   std::vector<std::vector<HalfEdge>> adjacency_;
   std::size_t edge_count_ = 0;
+  double min_weight_ = kUnreachable;
+  double max_weight_ = 0.0;
 };
 
-/// Dijkstra single-source shortest path distances from `source`.
+/// Bucket storage for shortest_paths.  Passing the same scratch to many
+/// runs keeps the buckets' capacity, so each run allocates only the
+/// distance row it returns.
+struct ShortestPathScratch {
+  std::vector<std::vector<std::pair<double, Vertex>>> buckets;
+};
+
+/// Single-source shortest path distances from `source` (bucket queue,
+/// exact; kUnreachable for vertices in other components).
+[[nodiscard]] std::vector<double> shortest_paths(
+    const Graph& graph, Vertex source, ShortestPathScratch& scratch);
+
+/// As above with a scratch of its own, for one-off runs.
 [[nodiscard]] std::vector<double> shortest_paths(const Graph& graph,
                                                  Vertex source);
 
-/// Shortest-path distance between two vertices (one Dijkstra run,
-/// early-exit when the target is settled).
-[[nodiscard]] double shortest_path_distance(const Graph& graph, Vertex from,
-                                            Vertex to);
-
 /// Unweighted hop counts from `source` (BFS) -- used as a test oracle for
-/// Dijkstra on unit-weight graphs.
+/// shortest_paths on unit-weight graphs.
 [[nodiscard]] std::vector<std::uint32_t> bfs_hops(const Graph& graph,
                                                   Vertex source);
 

@@ -61,8 +61,9 @@ LandmarkVectors::LandmarkVectors(const Graph& graph,
       vertex_count_(graph.vertex_count()) {
   P2PLB_REQUIRE(!landmarks_.empty());
   flat_.reserve(landmarks_.size() * vertex_count_);
+  ShortestPathScratch scratch;
   for (Vertex lm : landmarks_) {
-    const std::vector<double> dist = shortest_paths(graph, lm);
+    const std::vector<double> dist = shortest_paths(graph, lm, scratch);
     for (double d : dist)
       if (d != kUnreachable) max_distance_ = std::max(max_distance_, d);
     flat_.insert(flat_.end(), dist.begin(), dist.end());

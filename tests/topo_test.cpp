@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <functional>
+#include <numeric>
+#include <queue>
 #include <set>
+#include <span>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -60,8 +66,9 @@ TEST(ShortestPaths, HandComputed) {
   EXPECT_DOUBLE_EQ(d[0], 0.0);
   EXPECT_DOUBLE_EQ(d[1], 1.0);
   EXPECT_DOUBLE_EQ(d[2], 2.0);  // via 1, not the direct 5.0 edge
-  EXPECT_DOUBLE_EQ(shortest_path_distance(g, 0, 2), 2.0);
-  EXPECT_DOUBLE_EQ(shortest_path_distance(g, 2, 2), 0.0);
+  const auto back = shortest_paths(g, 2);
+  EXPECT_DOUBLE_EQ(back[0], 2.0);
+  EXPECT_DOUBLE_EQ(back[2], 0.0);
 }
 
 TEST(ShortestPaths, UnreachableIsInfinity) {
@@ -69,7 +76,7 @@ TEST(ShortestPaths, UnreachableIsInfinity) {
   g.add_edge(0, 1, 1.0);
   const auto d = shortest_paths(g, 0);
   EXPECT_EQ(d[2], kUnreachable);
-  EXPECT_EQ(shortest_path_distance(g, 0, 2), kUnreachable);
+  EXPECT_EQ(shortest_paths(g, 2)[0], kUnreachable);
 }
 
 TEST(ShortestPaths, MatchesBfsOnUnitWeights) {
@@ -87,6 +94,142 @@ TEST(ShortestPaths, MatchesBfsOnUnitWeights) {
   const auto bfs = bfs_hops(g, 7);
   for (Vertex v = 0; v < 200; ++v)
     EXPECT_DOUBLE_EQ(dij[v], static_cast<double>(bfs[v]));
+}
+
+// --- Bucket queue vs. binary heap ---------------------------------------------
+
+// Reference for the differential tests: textbook binary-heap Dijkstra,
+// whose rows the bucket queue must match bit for bit.
+std::vector<double> heap_shortest_paths(const Graph& graph, Vertex source) {
+  std::vector<double> dist(graph.vertex_count(), kUnreachable);
+  using Entry = std::pair<double, Vertex>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  dist[source] = 0.0;
+  heap.push({0.0, source});
+  while (!heap.empty()) {
+    const auto [d, v] = heap.top();
+    heap.pop();
+    if (d > dist[v]) continue;  // stale entry
+    for (const HalfEdge& e : graph.neighbors(v)) {
+      const double nd = d + e.weight;
+      if (nd < dist[e.to]) {
+        dist[e.to] = nd;
+        heap.push({nd, e.to});
+      }
+    }
+  }
+  return dist;
+}
+
+// Every row from `sources` must equal the reference byte for byte; one
+// scratch serves all runs, as in DistanceOracle.
+void expect_rows_identical(const Graph& g, std::span<const Vertex> sources) {
+  ShortestPathScratch scratch;
+  for (const Vertex s : sources) {
+    const auto got = shortest_paths(g, s, scratch);
+    const auto want = heap_shortest_paths(g, s);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << "row of source " << s;
+  }
+}
+
+void expect_stub_rows_identical(const TransitStubParams& params) {
+  Rng rng(18);
+  const auto topo = generate_transit_stub(params, rng, "diff");
+  const auto stubs = topo.stub_vertices();
+  Rng pick(19);
+  std::vector<Vertex> sources;
+  for (const std::size_t i : pick.sample_indices(stubs.size(), 200))
+    sources.push_back(stubs[i]);
+  expect_rows_identical(topo.graph, sources);
+}
+
+// A connected graph: a random spanning tree plus `extra` random edges,
+// each weighted by a draw of `weight`.
+Graph random_graph(Rng& rng, Vertex n, int extra,
+                   const std::function<double()>& weight) {
+  Graph g(n);
+  for (Vertex v = 1; v < n; ++v)
+    g.add_edge(v, static_cast<Vertex>(rng.below(v)), weight());
+  for (int i = 0; i < extra; ++i) {
+    const auto a = static_cast<Vertex>(rng.below(n));
+    const auto b = static_cast<Vertex>(rng.below(n));
+    if (a != b && !g.has_edge(a, b)) g.add_edge(a, b, weight());
+  }
+  return g;
+}
+
+std::vector<Vertex> all_vertices(const Graph& g) {
+  std::vector<Vertex> v(g.vertex_count());
+  std::iota(v.begin(), v.end(), Vertex{0});
+  return v;
+}
+
+TEST(ShortestPathsDifferential, Ts5kSmallStubRows) {
+  expect_stub_rows_identical(TransitStubParams::ts5k_small());
+}
+
+TEST(ShortestPathsDifferential, Ts5kLargeStubRows) {
+  expect_stub_rows_identical(TransitStubParams::ts5k_large());
+}
+
+TEST(ShortestPathsDifferential, RandomRealWeights) {
+  Rng rng(20);
+  const auto weight = [&rng] { return rng.uniform(0.1, 3.1); };
+  for (int graph = 0; graph < 50; ++graph) {
+    const auto n = static_cast<Vertex>(20 + rng.below(100));
+    const Graph g = random_graph(rng, n, static_cast<int>(2 * n), weight);
+    expect_rows_identical(g, all_vertices(g));
+  }
+}
+
+TEST(ShortestPathsDifferential, WideWeightRatio) {
+  // Two weights 730x apart: a 731-bucket ring.
+  Rng rng(21);
+  const Graph g = random_graph(rng, 300, 600, [&rng] {
+    return rng.chance(0.5) ? 0.01 : 7.3;
+  });
+  expect_rows_identical(g, all_vertices(g));
+}
+
+TEST(ShortestPathsDifferential, RatioPastTheRingCap) {
+  // Log-uniform weights over six decades: buckets widen past the ring
+  // cap, so labels in one bucket improve each other and are re-scanned.
+  Rng rng(22);
+  const Graph g = random_graph(rng, 200, 400, [&rng] {
+    return std::pow(10.0, rng.uniform(-3.0, 3.0));
+  });
+  expect_rows_identical(g, all_vertices(g));
+}
+
+TEST(ShortestPathsDifferential, DisconnectedRowsHoldUnreachable) {
+  Rng rng(23);
+  const Graph a =
+      random_graph(rng, 40, 60, [&rng] { return rng.uniform(0.1, 3.1); });
+  Graph g(80);  // two copies of `a`, no edge between them
+  for (Vertex v = 0; v < 40; ++v)
+    for (const HalfEdge& e : a.neighbors(v))
+      if (v < e.to) {
+        g.add_edge(v, e.to, e.weight);
+        g.add_edge(v + 40, e.to + 40, e.weight);
+      }
+  expect_rows_identical(g, all_vertices(g));
+  const auto row = shortest_paths(g, 3);
+  EXPECT_EQ(std::count(row.begin(), row.end(), kUnreachable), 40);
+}
+
+TEST(ShortestPathsDifferential, SingleVertexAndNoEdges) {
+  const Graph one(1);
+  expect_rows_identical(one, all_vertices(one));
+  EXPECT_EQ(shortest_paths(one, 0), std::vector<double>{0.0});
+  const Graph empty(5);
+  expect_rows_identical(empty, all_vertices(empty));
+  const auto row = shortest_paths(empty, 2);
+  EXPECT_EQ(std::count(row.begin(), row.end(), kUnreachable), 4);
+  EXPECT_EQ(row[2], 0.0);
 }
 
 // --- Transit-stub generator ----------------------------------------------------
@@ -301,8 +444,7 @@ TEST(DistanceOracle, MatchesDirectComputation) {
   for (int trial = 0; trial < 50; ++trial) {
     const auto a = static_cast<Vertex>(rng.below(topo.graph.vertex_count()));
     const auto b = static_cast<Vertex>(rng.below(topo.graph.vertex_count()));
-    EXPECT_DOUBLE_EQ(oracle.distance(a, b),
-                     shortest_path_distance(topo.graph, a, b));
+    EXPECT_DOUBLE_EQ(oracle.distance(a, b), shortest_paths(topo.graph, a)[b]);
   }
 }
 
@@ -322,8 +464,8 @@ TEST(DistanceOracle, BatchGroupsBySource) {
   // 2-row cache.
   EXPECT_LE(oracle.dijkstra_runs(), 5u);
   for (std::size_t i = 0; i < pairs.size(); ++i)
-    EXPECT_DOUBLE_EQ(
-        d[i], shortest_path_distance(g, pairs[i].first, pairs[i].second));
+    EXPECT_DOUBLE_EQ(d[i],
+                     shortest_paths(g, pairs[i].first)[pairs[i].second]);
 }
 
 TEST(DistanceOracle, CachesRepeatSources) {
