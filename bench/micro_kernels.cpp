@@ -86,6 +86,40 @@ void BM_RingSuccessor(benchmark::State& state) {
 }
 BENCHMARK(BM_RingSuccessor)->Arg(1024)->Arg(4096);
 
+// One churn step at a steady population: a node joins with 5 virtual
+// servers, a random node leaves, and a successor query folds both into
+// the ring order.
+void BM_RingChurn(benchmark::State& state) {
+  auto ring = make_ring(static_cast<std::size_t>(state.range(0)), 5);
+  std::vector<chord::NodeIndex> live = ring.live_nodes();
+  Rng rng(5);
+  for (auto _ : state) {
+    const chord::NodeIndex fresh = ring.add_node(1.0);
+    for (int v = 0; v < 5; ++v)
+      (void)ring.add_random_virtual_server(fresh, rng);
+    live.push_back(fresh);
+    const std::size_t victim = rng.below(live.size());
+    ring.remove_node(live[victim]);
+    live[victim] = live.back();
+    live.pop_back();
+    benchmark::DoNotOptimize(
+        ring.successor(static_cast<chord::Key>(rng() >> 32)).id);
+  }
+}
+BENCHMARK(BM_RingChurn)->Arg(4096);
+
+// One node's load sum (5 key->slot lookups), cycling over live nodes.
+void BM_RingNodeLoad(benchmark::State& state) {
+  const auto ring = make_ring(static_cast<std::size_t>(state.range(0)), 5);
+  const std::vector<chord::NodeIndex> live = ring.live_nodes();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ring.node_load(live[next]));
+    if (++next == live.size()) next = 0;
+  }
+}
+BENCHMARK(BM_RingNodeLoad)->Arg(4096);
+
 void BM_ChordLookup(benchmark::State& state) {
   const auto ring = make_ring(static_cast<std::size_t>(state.range(0)), 5);
   const chord::Router router(ring);

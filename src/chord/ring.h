@@ -13,19 +13,21 @@
 //
 // Storage is structure-of-arrays: a virtual server is a *slot* into
 // parallel id/owner/load columns, recycled through an explicit free list
-// under churn, with an O(1) hash for key->slot resolution (lookup only,
-// never iterated -- determinism) and a lazily rebuilt ring-order index
-// for successor queries and ordered iteration.  At 10^6 nodes x 5 VS the
-// old node-based std::map cost one pointer-chasing allocation per VS and
-// O(log S) per lookup; the columns put the load sweep over contiguous
-// memory and make lookups O(1).  VirtualServer remains the value type
-// queries return -- materialized from the columns on demand.
+// under churn.  Key->slot resolution is a flat open-addressing table
+// (linear probing, load factor <= 1/2, no iteration API -- hash order
+// cannot leak into any output).  Ring order is one sorted array of
+// {id, slot} pairs kept up to date incrementally: adds queue in an
+// unsorted tail that the next ordered query sorts and merges in, and
+// removals are dropped by one filtering pass, so a join or leave costs
+// O(S) rather than a full O(S log S) re-sort, and successor /
+// predecessor / arc queries are one binary search over contiguous ids.
+// VirtualServer remains the value type queries return -- materialized
+// from the columns on demand.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.h"
@@ -115,7 +117,7 @@ class Ring {
 
   [[nodiscard]] VirtualServer server(Key id) const;
   [[nodiscard]] bool has_server(Key id) const {
-    return vs_slot_.contains(id);
+    return vs_slot_.find(id) != SlotTable::kNone;
   }
 
   /// O(1) column reads, for the per-entry hot paths that used to pay a
@@ -157,8 +159,8 @@ class Ring {
   template <typename Fn>
   void for_each_server(Fn&& fn) const {
     ensure_order();
-    for (const std::uint32_t slot : order_)
-      fn(VirtualServer{vs_id_[slot], vs_owner_[slot], vs_load_[slot]});
+    for (const OrderEntry& e : order_)
+      fn(VirtualServer{e.id, vs_owner_[e.slot], vs_load_[e.slot]});
   }
 
   /// Live node indices, ascending.
@@ -183,16 +185,60 @@ class Ring {
   [[nodiscard]] double min_server_load() const;
 
  private:
+  /// Key -> slot, open addressing with linear probing and backward-shift
+  /// erase.  Lookup, insert and erase only: it has no iteration API, so
+  /// no output can depend on hash order.
+  class SlotTable {
+   public:
+    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+    /// The slot holding `id`, or kNone.
+    [[nodiscard]] std::uint32_t find(Key id) const {
+      if (size_ == 0) return kNone;  // also keeps an empty table unhashed
+      const std::size_t mask = cells_.size() - 1;
+      for (std::size_t i = home(id);; i = (i + 1) & mask) {
+        const Cell& c = cells_[i];
+        if (c.slot == kNone || c.id == id) return c.slot;
+      }
+    }
+    /// Requires `id` absent and `slot` != kNone.
+    void insert(Key id, std::uint32_t slot);
+    /// Requires `id` present.
+    void erase(Key id);
+
+   private:
+    struct Cell {
+      Key id = 0;
+      std::uint32_t slot = kNone;
+    };
+    /// Fibonacci hashing: the top bits of id * 2^64/phi.  shift_ is
+    /// 64 - log2(capacity), at most 60 (capacity >= 16).
+    [[nodiscard]] std::size_t home(Key id) const {
+      return static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(id) * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+    void grow();
+
+    std::vector<Cell> cells_;  // power-of-two size, or empty
+    std::size_t size_ = 0;
+    unsigned shift_ = 0;
+  };
+
+  /// One ring-order entry.  It is live iff its slot is live and still
+  /// holds this id (a removed slot may since have been recycled).
+  struct OrderEntry {
+    Key id;
+    std::uint32_t slot;
+  };
+
   Node& mutable_node(NodeIndex i);
   [[nodiscard]] std::uint32_t slot_checked(Key id) const {
-    const auto it = vs_slot_.find(id);
-    P2PLB_REQUIRE_MSG(it != vs_slot_.end(), "no such virtual server");
-    return it->second;
+    const std::uint32_t slot = vs_slot_.find(id);
+    P2PLB_REQUIRE_MSG(slot != SlotTable::kNone, "no such virtual server");
+    return slot;
   }
-  /// Rebuild the ring-order index if membership changed since last query.
+  /// Fold pending adds and removals into the ring order.
   void ensure_order() const;  // p2plb: holds(ring_shard_)
-  /// Index into order_ of the slot holding exactly `id`.
-  [[nodiscard]] std::size_t order_pos(Key id) const;
 
   /// Ownership domain of the whole ring state: under a sharded engine
   /// every mutation of the columns below must come from the shard that
@@ -210,14 +256,13 @@ class Ring {
   std::vector<std::uint8_t> vs_live_;  // p2plb: shared(ring_shard_)
   std::vector<std::uint32_t> vs_free_ P2PLB_GUARDED_BY(ring_shard_);
   std::size_t vs_count_ = 0;  // p2plb: shared(ring_shard_)
-  // Key -> slot; lookup/erase only, never iterated (hash order must not
-  // leak into any output).
-  // p2plb: shared(ring_shard_)
-  std::unordered_map<Key, std::uint32_t> vs_slot_;
-  // Live slots sorted by id; rebuilt lazily after membership changes so
-  // bulk setup does not pay a per-add O(S) insertion.
-  mutable std::vector<std::uint32_t> order_;  // p2plb: shared(ring_shard_)
-  mutable bool order_dirty_ = false;  // p2plb: shared(ring_shard_)
+  SlotTable vs_slot_;  // p2plb: shared(ring_shard_)
+  // Ring order: entries sorted by id.  Between ordered queries it may
+  // still hold removed servers' entries (order_dead_ is set), and adds
+  // wait unsorted in order_tail_; ensure_order() folds both in.
+  mutable std::vector<OrderEntry> order_;  // p2plb: shared(ring_shard_)
+  mutable std::vector<OrderEntry> order_tail_;  // p2plb: shared(ring_shard_)
+  mutable bool order_dead_ = false;  // p2plb: shared(ring_shard_)
 };
 
 }  // namespace p2plb::chord

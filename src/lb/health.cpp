@@ -49,9 +49,9 @@ std::vector<std::pair<std::string, double>> HealthProbe::measure(
   std::vector<double> unit;
   unit.reserve(live.size());
   const double fair = truth.capacity > 0.0 ? truth.load / truth.capacity : 0.0;
-  for (const chord::NodeIndex i : live) {
-    const double share = fair * ring_.node(i).capacity;
-    unit.push_back(share > 0.0 ? ring_.node_load(i) / share : 0.0);
+  for (const NodeAssessment& a : cls.nodes) {
+    const double share = fair * a.capacity;
+    unit.push_back(share > 0.0 ? a.load / share : 0.0);
   }
   std::vector<double> sorted = unit;
   std::sort(sorted.begin(), sorted.end());
@@ -102,18 +102,19 @@ void HealthProbe::register_windows(obs::WindowedAggregator& windows) const {
   const obs::ColumnId units = windows.column_series(p + "unit_load");
   windows.add_boundary_probe([this, &windows, heavy, imbalance, mean_unit,
                               max_unit, units](double boundary) {
-    const std::vector<chord::NodeIndex> live = ring_.live_nodes();
     const Lbi truth = ground_truth_lbi(ring_);
     const Classification cls = classify_all(ring_, truth, config_.epsilon);
     // Unit loads land in the SoA column (one dense double per node --
     // the only state that scales with N) and fold into the
-    // `<prefix>.unit_load` histogram when this bucket closes.
-    std::vector<double>& col = windows.column_data(units, live.size());
+    // `<prefix>.unit_load` histogram when this bucket closes.  The
+    // classification already holds every live node's load and capacity,
+    // in live_nodes() order.
+    std::vector<double>& col = windows.column_data(units, cls.nodes.size());
     const double fair =
         truth.capacity > 0.0 ? truth.load / truth.capacity : 0.0;
-    for (std::size_t j = 0; j < live.size(); ++j) {
-      const double share = fair * ring_.node(live[j]).capacity;
-      col[j] = share > 0.0 ? ring_.node_load(live[j]) / share : 0.0;
+    for (std::size_t j = 0; j < cls.nodes.size(); ++j) {
+      const double share = fair * cls.nodes[j].capacity;
+      col[j] = share > 0.0 ? cls.nodes[j].load / share : 0.0;
     }
     windows.record(heavy, boundary, cls.heavy_fraction());
     windows.record(imbalance, boundary, imbalance_factor(col));

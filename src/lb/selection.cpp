@@ -27,10 +27,14 @@ std::vector<chord::Key> exact_select(const std::vector<Item>& items,
   int best_popcount = 0;
   std::uint32_t best_mask = 0;
   bool found = false;
+  // sums[mask] is the mask's items added in index order.  Its highest
+  // item is added last, to the sum of the others, so one addition per
+  // subset repeats that order bit for bit.
+  std::vector<double> sums(subsets);
   for (std::uint32_t mask = 1; mask < subsets; ++mask) {
-    double sum = 0.0;
-    for (std::size_t k = 0; k < n; ++k)
-      if (mask & (1u << k)) sum += items[k].load;
+    const auto high = static_cast<std::size_t>(std::bit_width(mask) - 1);
+    const double sum = sums[mask ^ (1u << high)] + items[high].load;
+    sums[mask] = sum;
     if (sum + 1e-12 < excess) continue;  // infeasible
     const int pc = std::popcount(mask);
     if (!found || sum < best_sum ||

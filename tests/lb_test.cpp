@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -200,6 +202,73 @@ TEST(Selection, GreedyIsFeasibleAndExactIsNoWorse) {
     EXPECT_GE(total_load_of(ring, greedy), excess - 1e-9);
     EXPECT_LE(total_load_of(ring, exact),
               total_load_of(ring, greedy) + 1e-9);
+  }
+}
+
+/// The exact search as first written: every subset re-summed in index
+/// order.  Reference for the incremental subset-sum table.
+std::vector<chord::Key> reference_exact_select(const chord::Ring& ring,
+                                               chord::NodeIndex node,
+                                               double excess) {
+  const std::vector<chord::Key>& ids = ring.node(node).servers;
+  const std::size_t n = ids.size();
+  double best_sum = std::numeric_limits<double>::infinity();
+  int best_popcount = 0;
+  std::uint32_t best_mask = 0;
+  bool found = false;
+  for (std::uint32_t mask = 1; mask < (1u << n); ++mask) {
+    double sum = 0.0;
+    for (std::size_t k = 0; k < n; ++k)
+      if (mask & (1u << k)) sum += ring.server_load(ids[k]);
+    if (sum + 1e-12 < excess) continue;
+    const int pc = std::popcount(mask);
+    if (!found || sum < best_sum ||
+        (sum == best_sum && pc < best_popcount)) {
+      found = true;
+      best_sum = sum;
+      best_mask = mask;
+      best_popcount = pc;
+    }
+  }
+  if (!found) return ids;
+  std::vector<chord::Key> out;
+  for (std::size_t k = 0; k < n; ++k)
+    if (best_mask & (1u << k)) out.push_back(ids[k]);
+  return out;
+}
+
+TEST(Selection, ExactMatchesReferenceEnumeration) {
+  Rng rng(111);
+  for (std::size_t n = 1; n <= kExactLimit; ++n) {
+    const int trials = n <= 10 ? 60 : 8;
+    for (int trial = 0; trial < trials; ++trial) {
+      // Uniform, log-uniform, small integers (many exactly tied sums)
+      // and tenths (sums that tie or not depending on addition order).
+      const auto kind = trial % 4;
+      std::vector<double> loads(n);
+      double total = 0.0;
+      for (double& l : loads) {
+        l = kind == 0   ? rng.uniform(0.0, 10.0)
+            : kind == 1 ? std::exp(rng.uniform(-6.0, 6.0))
+            : kind == 2 ? static_cast<double>(rng.below(5))
+                        : static_cast<double>(1 + rng.below(9)) / 10.0;
+        total += l;
+      }
+      double excess = rng.uniform(0.01, total + 0.01);
+      if (kind == 3) {  // exactly some subset's sum, added largest first
+        excess = 0.0;
+        for (std::size_t k = n; k-- > 0;)
+          if (rng.chance(0.5)) excess += loads[k];
+        excess = std::max(excess, 0.1);
+      }
+      if (rng.chance(0.1)) excess = total + 1.0;
+      chord::NodeIndex node = 0;
+      const auto ring = ring_with_loads(loads, node);
+      EXPECT_EQ(select_servers_to_shed(ring, node, excess,
+                                       SelectionPolicy::kExact),
+                reference_exact_select(ring, node, excess))
+          << "n=" << n << " trial=" << trial;
+    }
   }
 }
 
