@@ -8,8 +8,11 @@
 // each figure binary small and the configurations consistent.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <chrono>
 #include <iostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -95,6 +98,39 @@ inline Deployment build_deployment(const ExperimentParams& p,
   workload::assign_loads(ring, model, rng);
   return {std::move(topology), std::move(ring)};
 }
+
+/// The set-up of one timed balancing round (time_protocol's round and
+/// micro_kernels' BM_TracedRound): the deployment on ts5k-small and its
+/// distance oracle with one row per distinct attachment vertex filled, so
+/// that no shortest-path search lands in the round.  `rng` is left where
+/// the round draws from.
+struct TimedRoundSetup {
+  TimedRoundSetup(std::size_t nodes, std::size_t servers, std::uint64_t seed)
+      : rng(seed + 17),
+        deployment(build_deployment(
+            {.nodes = nodes, .servers_per_node = servers, .seed = seed},
+            topo::TransitStubParams::ts5k_small(), "ts5k-small", rng)),
+        // Distinct sources are bounded by the topology's vertex count, so
+        // the row cache never needs more entries than that even at N = 1M.
+        oracle(deployment.topology.graph,
+               std::min<std::size_t>(
+                   std::max<std::size_t>(nodes, 64),
+                   deployment.topology.graph.vertex_count())) {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::set<std::uint32_t> attachments;
+    for (chord::NodeIndex i = 0; i < deployment.ring.node_count(); ++i)
+      attachments.insert(deployment.ring.node(i).attachment);
+    for (const std::uint32_t v : attachments)
+      (void)oracle.distance(v, v == 0 ? 1 : 0);
+    fill_seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+  }
+  Rng rng;
+  Deployment deployment;
+  topo::DistanceOracle oracle;
+  double fill_seconds = 0.0;  ///< host time of the oracle fill
+};
 
 /// Moved-load-by-distance accounting for one balancing run.
 struct DistanceProfile {

@@ -1,15 +1,25 @@
 // Microbenchmarks for the library's hot kernels (google-benchmark):
 // Hilbert encode/decode, Chord ring operations and lookups, K-nary tree
-// construction, the VSA pairing loop, topology generation and Dijkstra.
+// construction, the VSA pairing loop, topology generation and Dijkstra,
+// the event queue, and one timed round under each observability sink.
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+#include <string>
+
+#include "bench_util.h"
 #include "chord/ring.h"
 #include "chord/router.h"
+#include "common/cli.h"
 #include "common/rng.h"
 #include "hilbert/hilbert.h"
 #include "ktree/tree.h"
 #include "lb/balancer.h"
+#include "lb/health.h"
+#include "lb/protocol_round.h"
+#include "session.h"
 #include "sim/engine.h"
+#include "sim/network.h"
 #include "topo/distance_oracle.h"
 #include "topo/graph.h"
 #include "topo/transit_stub.h"
@@ -268,5 +278,58 @@ void BM_Dijkstra5k(benchmark::State& state) {
   state.SetLabel(large ? "ts5k-large" : "ts5k-small");
 }
 BENCHMARK(BM_Dijkstra5k)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// One balancing round on a fresh copy of the ring with one sink attached
+// through obstool::Session flags, as the drivers attach it, timed like
+// perfbench's round_s from the constructor (the decision pipeline) to
+// the session's export (trace flush included).
+void BM_TracedRound(benchmark::State& state, const char* flag,
+                    const char* value) {
+  static bench::TimedRoundSetup setup(bench::kPaperNodes,
+                                      bench::kPaperServersPerNode, 1);
+  const char* argv[] = {"BM_TracedRound", flag, value};
+  Cli cli;
+  obstool::Session::add_flags(cli, 5.0);
+  (void)cli.parse(*flag == '\0' ? 1 : 3, argv);
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    chord::Ring ring = setup.deployment.ring;
+    Rng rng = setup.rng;
+    obstool::Session session(cli, 5.0, 1, ring.node_count());
+    sim::Engine engine;
+    sim::Network net(engine, setup.oracle.latency());
+    lb::HealthProbe health(ring);
+    session.attach(engine, net, &health);
+    lb::ProtocolRound round(net, ring, {}, rng);
+    round.start();
+    engine.run();
+    session.note_round(round.report().phases);
+    session.finish();
+    events += engine.events_executed();
+    benchmark::DoNotOptimize(round.report().completion_time);
+  }
+  const std::string trace = cli.get_string("trace");
+  state.counters["trace_bytes"] =
+      trace.empty() ? 0.0
+                    : static_cast<double>(std::filesystem::file_size(trace));
+  for (const std::string& path : {trace, cli.get_string("profile")}) {
+    std::error_code ignored;
+    if (!path.empty()) std::filesystem::remove(path, ignored);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+
+// Sinks: none (the baseline), the binary and JSONL trace streams, the
+// host-time profiler, the windowed plane (width 5) with the health probe.
+// Output files go to the working directory and are removed afterwards.
+BENCHMARK_CAPTURE(BM_TracedRound, null, "", "")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TracedRound, binary, "--trace", "traced_round.btrace")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TracedRound, jsonl, "--trace", "traced_round.jsonl")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TracedRound, profile, "--profile", "traced_round.prof")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_TracedRound, windows, "--windows", "5")
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -13,24 +13,20 @@
 //     transit-stub topology with shortest-path latencies: per-phase
 //     message/byte/timing breakdown and end-to-end completion time.
 //
-// The observability flags (tools/session) capture the first timed round.
-#include <algorithm>
+// The observability flags (tools/session) capture the timed round
+// (--timed-nodes).  Performance is measured elsewhere: perfbench/run.py
+// is the macro benchmark, tools/bench_delta.py snapshots and compares it,
+// and bench/micro_kernels times the kernels -- the event queue (wheel vs
+// heap: BM_EngineThroughput/0 vs /1) and each observability sink's
+// overhead on a timed round (BM_TracedRound/<sink>).
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <optional>
-#include <set>
 
 #include "bench_util.h"
 #include "ktree/protocol.h"
 #include "ktree/tree.h"
 #include "lb/health.h"
 #include "lb/protocol_round.h"
-#include "obs/binary_trace.h"
-#include "obs/profiler.h"
-#include "obs/trace.h"
-#include "obs/window.h"
 #include "session.h"
 #include "sim/engine.h"
 #include "sim/network.h"
@@ -41,159 +37,6 @@ using namespace p2plb;
 
 /// The sampling period `--series` implies without `--sample-every`.
 constexpr double kSeriesPeriod = 5.0;
-
-/// One end-to-end timed round's measurements (simulated and wall-clock).
-struct TimedRoundResult {
-  std::size_t nodes = 0;
-  std::string engine;
-  /// Observability config of this row: "none" (plain timed round),
-  /// "null" (no tracer, the overhead baseline), "binary"
-  /// (p2plb-btrace-1 streaming sink), "jsonl" (JSONL streaming sink),
-  /// "profile" (host-time profiler attached, no tracer -- report-only in
-  /// the delta gate) or "windows" (WindowedAggregator fed from the send
-  /// path, no tracer).
-  std::string sink = "none";
-  /// Set-up: one oracle row per distinct attachment vertex, filled before
-  /// the round so that no shortest-path search lands in wall_seconds.
-  double oracle_fill_seconds = 0.0;
-  std::uint64_t dijkstra_runs = 0;
-  double wall_seconds = 0.0;
-  std::uint64_t events = 0;
-  double events_per_sec = 0.0;
-  std::uint64_t messages = 0;
-  double completion_time = 0.0;
-  std::size_t transfers_applied = 0;
-  std::uint64_t trace_bytes = 0;  ///< on-disk trace size (sink rows)
-};
-
-/// Build the deployment, fill the distance oracle, and run one
-/// event-driven balancing round over ts5k-small latencies, timing the
-/// fill and the event loop separately.
-/// A non-null `session` is attached to the round and exports its
-/// outputs when the round ends.  `obs_sink` != "none" attaches a local
-/// tracer streaming to a temporary file (removed afterwards) so the row
-/// measures tracing overhead; "null" runs tracer-free as the overhead
-/// baseline and "profile" attaches a local host-time profiler instead of
-/// a tracer.
-TimedRoundResult run_timed_round(std::size_t nodes, std::size_t servers,
-                                 std::uint64_t seed, sim::QueueKind kind,
-                                 obstool::Session* session,
-                                 lb::BalanceReport* report_out,
-                                 double* mean_latency_out,
-                                 const std::string& obs_sink = "none") {
-  TimedRoundResult r;
-  r.nodes = nodes;
-  r.engine = kind == sim::QueueKind::kTimerWheel ? "wheel" : "heap";
-  r.sink = obs_sink;
-  bench::ExperimentParams params;
-  params.nodes = nodes;
-  params.servers_per_node = servers;
-  params.seed = seed;
-  Rng round_rng(seed + 17);
-  bench::Deployment d = bench::build_deployment(
-      params, topo::TransitStubParams::ts5k_small(), "ts5k-small", round_rng);
-  // Distinct sources are bounded by the topology's vertex count, so the
-  // row cache never needs more entries than that even at N = 1M.
-  topo::DistanceOracle oracle(
-      d.topology.graph,
-      std::min<std::size_t>(std::max<std::size_t>(nodes, 64),
-                            d.topology.graph.vertex_count()));
-  const auto fill0 = std::chrono::steady_clock::now();
-  std::set<std::uint32_t> attachments;
-  for (chord::NodeIndex i = 0; i < d.ring.node_count(); ++i)
-    attachments.insert(d.ring.node(i).attachment);
-  for (const std::uint32_t v : attachments)
-    (void)oracle.distance(v, v == 0 ? 1 : 0);
-  r.oracle_fill_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - fill0)
-                              .count();
-  r.dijkstra_runs = oracle.dijkstra_runs();
-  sim::Engine engine(kind);
-  sim::Network net(engine, oracle.latency());
-  std::optional<lb::HealthProbe> health;
-  if (session != nullptr) session->attach(engine, net, &health.emplace(d.ring));
-  obs::Tracer obs_tracer;
-  std::optional<obs::BinaryTraceSink> binary_sink;
-  std::optional<obs::JsonlTraceSink> jsonl_sink;
-  std::string obs_tmp;
-  if (obs_sink == "binary") {
-    obs_tmp = "obs_overhead_tmp.btrace";
-    obs_tracer.set_sink(&binary_sink.emplace(obs_tmp));
-    net.attach_tracer(&obs_tracer);
-  } else if (obs_sink == "jsonl") {
-    obs_tmp = "obs_overhead_tmp.jsonl";
-    obs_tracer.set_sink(&jsonl_sink.emplace(obs_tmp));
-    net.attach_tracer(&obs_tracer);
-  }
-  std::optional<obs::Profiler> profiler;
-  if (obs_sink == "profile") {
-    engine.attach_profiler(&profiler.emplace());
-    net.attach_profiler(&*profiler);
-  }
-  std::optional<obs::WindowedAggregator> windows;
-  if (obs_sink == "windows") {
-    // The online metrics plane on the hot path: every send records into
-    // two counter series.  Bucket width 5 closes ~10 buckets per round.
-    windows.emplace(obs::WindowConfig{5.0, 64});
-    net.attach_windows(&*windows);
-  }
-  lb::ProtocolRound round(net, d.ring, {}, round_rng);
-  const auto t0 = std::chrono::steady_clock::now();
-  round.start();
-  if (session != nullptr) session->start_sampling();
-  engine.run();
-  if (obs_tracer.sink() != nullptr) obs_tracer.sink()->flush();
-  const auto t1 = std::chrono::steady_clock::now();
-  if (!obs_tmp.empty()) {
-    std::ifstream sz(obs_tmp, std::ios::binary | std::ios::ate);
-    if (sz.good()) r.trace_bytes = static_cast<std::uint64_t>(sz.tellg());
-    sz.close();
-    std::remove(obs_tmp.c_str());
-  }
-  const lb::BalanceReport& report = round.report();
-  r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  r.events = engine.events_executed();
-  r.events_per_sec =
-      r.wall_seconds > 0.0 ? static_cast<double>(r.events) / r.wall_seconds
-                           : 0.0;
-  r.messages = net.totals().messages;
-  r.completion_time = report.completion_time;
-  r.transfers_applied = report.transfers_applied;
-  if (session != nullptr) {
-    session->note_round(report.phases);
-    session->finish();
-  }
-  if (report_out != nullptr) *report_out = report;
-  if (mean_latency_out != nullptr)
-    *mean_latency_out = net.totals().mean_latency();
-  return r;
-}
-
-/// Write the timed-round results as the machine-readable bench JSON the
-/// delta gate (tools/bench_delta.py) consumes.
-void write_bench_json(const std::string& path,
-                      const std::vector<TimedRoundResult>& rounds) {
-  std::ofstream out(path);
-  P2PLB_REQUIRE_MSG(out.good(), "cannot open bench JSON output file");
-  out << "{\n  \"schema\": \"p2plb-bench-1\",\n  \"timed_rounds\": [\n";
-  for (std::size_t i = 0; i < rounds.size(); ++i) {
-    const TimedRoundResult& r = rounds[i];
-    out << "    {\"nodes\": " << r.nodes << ", \"engine\": \"" << r.engine
-        << "\", \"sink\": \"" << r.sink
-        << "\", \"oracle_fill_seconds\": " << r.oracle_fill_seconds
-        << ", \"dijkstra_runs\": " << r.dijkstra_runs
-        << ", \"wall_seconds\": " << r.wall_seconds
-        << ", \"events\": " << r.events
-        << ", \"events_per_sec\": " << r.events_per_sec
-        << ", \"messages\": " << r.messages
-        << ", \"completion_time\": " << r.completion_time
-        << ", \"transfers_applied\": " << r.transfers_applied
-        << ", \"trace_bytes\": " << r.trace_bytes << "}"
-        << (i + 1 < rounds.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cerr << "bench JSON written to " << path << "\n";
-}
 
 /// Binary-search the reconvergence instant to one check period.
 sim::Time measure_recovery(sim::Engine& engine,
@@ -218,20 +61,6 @@ int main(int argc, char** argv) {
   cli.add_flag("crash-fraction", "fraction of nodes to crash", "0.1");
   cli.add_flag("timed-nodes",
                "ring size for the end-to-end timed balancing round", "512");
-  cli.add_flag("timed-sizes",
-               "comma-separated ring sizes for timed rounds (overrides "
-               "--timed-nodes)",
-               "");
-  cli.add_flag("obs-sizes",
-               "comma-separated ring sizes for the observability-overhead "
-               "sweep (one timed round per sink: null tracer, binary, "
-               "jsonl, host-time profiler, windowed aggregator); given "
-               "alone it replaces the default timed round",
-               "");
-  cli.add_flag("engine", "event queue for timed rounds: wheel or heap",
-               "wheel");
-  cli.add_flag("bench-json",
-               "write timed-round measurements to this JSON file", "");
   p2plb::obstool::Session::add_flags(cli, kSeriesPeriod);
   cli.add_flag("csv", "emit CSV instead of aligned tables", "false");
   if (!cli.parse(argc, argv)) return 0;
@@ -294,96 +123,48 @@ int main(int argc, char** argv) {
   std::cout << "\n(All time columns must grow logarithmically with N and "
                "shrink as K grows.)\n";
 
-  // --- end-to-end balancing rounds on a physical topology --------------
+  // --- an end-to-end balancing round on a physical topology -----------
   // The whole four-phase protocol as events over ts5k-small shortest-path
   // latencies: where the simulated time of one round actually goes, and
-  // how fast the engine chews through it (wall clock, events/sec).
-  const std::string engine_name = cli.get_string("engine");
-  P2PLB_REQUIRE_MSG(engine_name == "wheel" || engine_name == "heap",
-                    "--engine must be wheel or heap");
-  const sim::QueueKind kind = engine_name == "wheel"
-                                  ? sim::QueueKind::kTimerWheel
-                                  : sim::QueueKind::kBinaryHeap;
-  std::vector<std::size_t> timed_sizes;
-  for (const auto n : cli.get_int_list("timed-sizes"))
-    timed_sizes.push_back(static_cast<std::size_t>(n));
-  std::vector<std::size_t> obs_sizes;
-  for (const auto n : cli.get_int_list("obs-sizes"))
-    obs_sizes.push_back(static_cast<std::size_t>(n));
-  if (timed_sizes.empty() && obs_sizes.empty())
-    timed_sizes.push_back(static_cast<std::size_t>(cli.get_int("timed-nodes")));
+  // how fast the engine chews through it (wall clock, events/sec).  The
+  // oracle fill and the event loop are timed separately.
+  const auto nodes = static_cast<std::size_t>(cli.get_int("timed-nodes"));
+  obstool::Session session(cli, kSeriesPeriod, seed, nodes);
+  bench::TimedRoundSetup setup(nodes, servers, seed);
+  sim::Engine engine;
+  sim::Network net(engine, setup.oracle.latency());
+  lb::HealthProbe health(setup.deployment.ring);
+  session.attach(engine, net, &health);
+  lb::ProtocolRound round(net, setup.deployment.ring, {}, setup.rng);
+  const auto t0 = std::chrono::steady_clock::now();
+  round.start();
+  session.start_sampling();
+  engine.run();
+  const double wall_seconds = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+  const lb::BalanceReport& report = round.report();
+  session.note_round(report.phases);
+  session.finish();
 
-  obstool::Session session(cli, kSeriesPeriod, seed,
-                           timed_sizes.empty() ? 0 : timed_sizes.front());
-  std::vector<TimedRoundResult> results;
-  for (std::size_t i = 0; i < timed_sizes.size(); ++i) {
-    // The observability outputs capture the first size only; the rest
-    // are timing sweeps.
-    const bool capture = i == 0;
-    lb::BalanceReport report;
-    double mean_latency = 0.0;
-    results.push_back(run_timed_round(timed_sizes[i], servers, seed, kind,
-                                      capture ? &session : nullptr, &report,
-                                      &mean_latency));
-    const TimedRoundResult& r = results.back();
-
-    print_heading(std::cout,
-                  "one event-driven balancing round, ts5k-small, N = " +
-                      std::to_string(r.nodes) + " (" + r.engine +
-                      " engine)");
-    bench::emit(bench::phase_table(report.phases), csv);
-    std::cout << "\nround completion time: "
-              << Table::num(report.completion_time, 1)
-              << " latency units  (heavy " << report.before.heavy_count
-              << " -> " << report.after.heavy_count << ", "
-              << report.transfers_applied << " transfers, mean hop latency "
-              << Table::num(mean_latency, 2) << ")\n"
-              << "set-up, oracle fill: " << Table::num(r.oracle_fill_seconds, 3)
-              << " s for " << r.dijkstra_runs << " Dijkstra runs\n"
-              << "wall clock: " << Table::num(r.wall_seconds, 3) << " s for "
-              << r.events << " events ("
-              << Table::num(r.events_per_sec / 1e6, 2) << " M events/s)\n"
-              << "(phase 4 starts before phase 3 ends: transfers overlap "
-                 "the sweep)\n";
-  }
-
-  // --- observability overhead -------------------------------------------
-  // The same timed round, five ways: no tracer at all (the baseline),
-  // the streaming binary sink, the streaming JSONL sink, the host-time
-  // profiler, the windowed-metrics aggregator.  The wall-clock deltas
-  // are the cost of each instrument; the byte columns show the on-disk
-  // ratio between the trace formats.
-  if (!obs_sizes.empty()) {
-    print_heading(std::cout,
-                  "observability overhead (one timed round per sink, " +
-                      engine_name + " engine)");
-    Table ot({"N", "sink", "wall s", "events", "M events/s", "trace MB",
-              "overhead %"});
-    for (const std::size_t n : obs_sizes) {
-      double base_wall = 0.0;
-      for (const std::string sink :
-           {"null", "binary", "jsonl", "profile", "windows"}) {
-        results.push_back(
-            run_timed_round(n, servers, seed, kind, nullptr, nullptr, nullptr,
-                            sink));
-        const TimedRoundResult& r = results.back();
-        if (sink == "null") base_wall = r.wall_seconds;
-        const double overhead =
-            base_wall > 0.0
-                ? 100.0 * (r.wall_seconds - base_wall) / base_wall
-                : 0.0;
-        ot.add_row({std::to_string(n), sink, Table::num(r.wall_seconds, 3),
-                    std::to_string(r.events),
-                    Table::num(r.events_per_sec / 1e6, 2),
-                    Table::num(static_cast<double>(r.trace_bytes) / 1e6, 2),
-                    sink == "null" ? std::string("-")
-                                   : Table::num(overhead, 1)});
-      }
-    }
-    bench::emit(ot, csv);
-  }
-
-  const std::string bench_json = cli.get_string("bench-json");
-  if (!bench_json.empty()) write_bench_json(bench_json, results);
+  const std::uint64_t events = engine.events_executed();
+  print_heading(std::cout,
+                "one event-driven balancing round, ts5k-small, N = " +
+                    std::to_string(nodes));
+  bench::emit(bench::phase_table(report.phases), csv);
+  std::cout << "\nround completion time: "
+            << Table::num(report.completion_time, 1)
+            << " latency units  (heavy " << report.before.heavy_count
+            << " -> " << report.after.heavy_count << ", "
+            << report.transfers_applied << " transfers, mean hop latency "
+            << Table::num(net.totals().mean_latency(), 2) << ")\n"
+            << "set-up, oracle fill: " << Table::num(setup.fill_seconds, 3)
+            << " s for " << setup.oracle.dijkstra_runs() << " Dijkstra runs\n"
+            << "wall clock: " << Table::num(wall_seconds, 3) << " s for "
+            << events << " events ("
+            << Table::num(static_cast<double>(events) / wall_seconds / 1e6, 2)
+            << " M events/s)\n"
+            << "(phase 4 starts before phase 3 ends: transfers overlap "
+               "the sweep)\n";
   return 0;
 }

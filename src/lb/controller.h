@@ -71,8 +71,8 @@ struct ControllerResult {
 ///
 /// When `sampler` is given, its periodic chain is (re-)armed before every
 /// round so it keeps recording across the per-round engine drains (see
-/// obs::Sampler's idle-stop contract).  A null or disabled sampler leaves
-/// the event schedule untouched.
+/// obs::Sampler's idle-stop contract).  A null sampler leaves the event
+/// schedule untouched.
 [[nodiscard]] ControllerResult balance_until_stable(
     sim::Network& net, chord::Ring& ring, const ControllerConfig& config,
     Rng& rng, std::span<const chord::Key> node_keys = {},
