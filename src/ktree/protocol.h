@@ -178,27 +178,6 @@ class MaintenanceProtocol {
     return static_cast<std::uint64_t>(sum);
   }
 
-  /// Visit every live instance as fn(region, host_vs) -- diagnostics.
-  template <typename Fn>
-  void for_each_instance(Fn&& fn) const {
-    for (const auto& [region, inst] : instances_) fn(region, inst.host_vs);
-  }
-
-  /// The tree degree K.
-  [[nodiscard]] std::uint32_t degree() const noexcept { return degree_; }
-
-  /// Whether an instance currently exists for this exact region.
-  [[nodiscard]] bool has_instance(const Region& region) const {
-    return instances_.contains(region);
-  }
-
-  /// The hosting VS of an instance (throws if absent).
-  [[nodiscard]] chord::Key instance_host(const Region& region) const {
-    const auto it = instances_.find(region);
-    P2PLB_REQUIRE_MSG(it != instances_.end(), "no such instance");
-    return it->second.host_vs;
-  }
-
  private:
   struct Instance {
     chord::Key host_vs = 0;

@@ -1,7 +1,6 @@
 #include "lb/health.h"
 
 #include <algorithm>
-#include <cstdint>
 
 #include "common/stats.h"
 #include "lb/classify.h"
@@ -10,15 +9,38 @@ namespace p2plb::lb {
 
 namespace {
 
-/// Approximate depth of a tree instance from its region length: how many
-/// K-way splits of the whole space reach a region this small.  Children
-/// split with exact integer boundaries, so sibling lengths differ by at
-/// most one -- division by `degree` recovers the level exactly for every
-/// realistic space size.
-std::uint32_t region_depth(std::uint64_t len, std::uint32_t degree) {
-  std::uint32_t depth = 0;
-  for (std::uint64_t l = chord::kSpaceSize; l > len; l /= degree) ++depth;
-  return depth;
+/// The gauges measure() and the windowed boundary probe both publish.
+struct UnitLoadGauges {
+  double heavy_fraction = 0.0;
+  double mean = 0.0;
+  double max = 0.0;
+  double imbalance = 0.0;
+};
+
+/// Classifies the ring and writes every live node's unit load,
+/// load_i / ((L / C) * C_i), into `unit` in live_nodes() order.  `unit`
+/// is resized to the live-node count, so a buffer already of that size
+/// (the SoA column) is reused without allocating.  With no load (or no
+/// capacity) every node is exactly at its share of nothing: all-zero
+/// gauges rather than a division by zero.
+UnitLoadGauges unit_loads(const chord::Ring& ring, double epsilon,
+                          std::vector<double>& unit) {
+  const Lbi truth = ground_truth_lbi(ring);
+  const Classification cls = classify_all(ring, truth, epsilon);
+  unit.resize(cls.nodes.size());
+  const double fair = truth.capacity > 0.0 ? truth.load / truth.capacity : 0.0;
+  for (std::size_t j = 0; j < cls.nodes.size(); ++j) {
+    const double share = fair * cls.nodes[j].capacity;
+    unit[j] = share > 0.0 ? cls.nodes[j].load / share : 0.0;
+  }
+  UnitLoadGauges g;
+  g.heavy_fraction = cls.heavy_fraction();
+  g.imbalance = imbalance_factor(unit);
+  if (!unit.empty()) {
+    g.mean = summarize(unit).mean;
+    g.max = *std::max_element(unit.begin(), unit.end());
+  }
+  return g;
 }
 
 }  // namespace
@@ -29,8 +51,7 @@ HealthProbe::HealthProbe(const chord::Ring& ring, HealthProbeConfig config)
   P2PLB_REQUIRE_MSG(!config_.prefix.empty(), "health prefix must be non-empty");
 }
 
-std::vector<std::pair<std::string, double>> HealthProbe::measure(
-    double now) const {
+std::vector<std::pair<std::string, double>> HealthProbe::measure() const {
   std::vector<std::pair<std::string, double>> out;
   auto emit = [&](std::string_view gauge, double value) {
     out.emplace_back(config_.prefix + "." + std::string(gauge), value);
@@ -39,27 +60,14 @@ std::vector<std::pair<std::string, double>> HealthProbe::measure(
   const std::vector<chord::NodeIndex> live = ring_.live_nodes();
   emit("nodes", static_cast<double>(live.size()));
 
-  const Lbi truth = ground_truth_lbi(ring_);
-  const Classification cls = classify_all(ring_, truth, config_.epsilon);
-  emit("heavy_fraction", cls.heavy_fraction());
-
-  // Unit loads: load_i / ((L / C) * C_i).  With no load (or no capacity)
-  // every node is exactly at its share of nothing; report all-zero gauges
-  // rather than dividing by zero.
   std::vector<double> unit;
-  unit.reserve(live.size());
-  const double fair = truth.capacity > 0.0 ? truth.load / truth.capacity : 0.0;
-  for (const NodeAssessment& a : cls.nodes) {
-    const double share = fair * a.capacity;
-    unit.push_back(share > 0.0 ? a.load / share : 0.0);
-  }
-  std::vector<double> sorted = unit;
-  std::sort(sorted.begin(), sorted.end());
-  emit("mean_unit_load",
-       unit.empty() ? 0.0 : summarize(unit).mean);
-  emit("max_unit_load", sorted.empty() ? 0.0 : sorted.back());
-  emit("p99_unit_load", percentile_sorted(sorted, 0.99));
-  emit("imbalance", imbalance_factor(unit));
+  const UnitLoadGauges g = unit_loads(ring_, config_.epsilon, unit);
+  emit("heavy_fraction", g.heavy_fraction);
+  emit("mean_unit_load", g.mean);
+  emit("max_unit_load", g.max);
+  std::sort(unit.begin(), unit.end());
+  emit("p99_unit_load", percentile_sorted(unit, 0.99));
+  emit("imbalance", g.imbalance);
   emit("gini_unit_load", gini(unit));
 
   std::vector<double> vs_counts;
@@ -72,25 +80,11 @@ std::vector<std::pair<std::string, double>> HealthProbe::measure(
                    vs_counts.empty() ? 0.0 : vs_counts.back());
   out.emplace_back(vs + "{q=p50}", percentile_sorted(vs_counts, 0.50));
   out.emplace_back(vs + "{q=p99}", percentile_sorted(vs_counts, 0.99));
-
-  if (clbi_ != nullptr) {
-    emit("clbi_root_error", clbi_->root_relative_error());
-    const sim::Time last = clbi_->last_refresh_time();
-    emit("clbi_staleness", last < 0.0 ? -1.0 : now - last);
-  }
-  if (tree_ != nullptr) {
-    emit("ktree_instances", static_cast<double>(tree_->instance_count()));
-    std::uint32_t height = 0;
-    tree_->for_each_instance([&](const ktree::Region& r, chord::Key) {
-      height = std::max(height, region_depth(r.len, tree_->degree()));
-    });
-    emit("ktree_depth", static_cast<double>(height));
-  }
   return out;
 }
 
 void HealthProbe::sample_into(double t, obs::TimeSeriesSink& sink) const {
-  for (const auto& [key, value] : measure(t)) sink.append(t, key, value);
+  for (const auto& [key, value] : measure()) sink.append(t, key, value);
 }
 
 void HealthProbe::register_windows(obs::WindowedAggregator& windows) const {
@@ -102,27 +96,16 @@ void HealthProbe::register_windows(obs::WindowedAggregator& windows) const {
   const obs::ColumnId units = windows.column_series(p + "unit_load");
   windows.add_boundary_probe([this, &windows, heavy, imbalance, mean_unit,
                               max_unit, units](double boundary) {
-    const Lbi truth = ground_truth_lbi(ring_);
-    const Classification cls = classify_all(ring_, truth, config_.epsilon);
     // Unit loads land in the SoA column (one dense double per node --
     // the only state that scales with N) and fold into the
-    // `<prefix>.unit_load` histogram when this bucket closes.  The
-    // classification already holds every live node's load and capacity,
-    // in live_nodes() order.
-    std::vector<double>& col = windows.column_data(units, cls.nodes.size());
-    const double fair =
-        truth.capacity > 0.0 ? truth.load / truth.capacity : 0.0;
-    for (std::size_t j = 0; j < cls.nodes.size(); ++j) {
-      const double share = fair * cls.nodes[j].capacity;
-      col[j] = share > 0.0 ? cls.nodes[j].load / share : 0.0;
-    }
-    windows.record(heavy, boundary, cls.heavy_fraction());
-    windows.record(imbalance, boundary, imbalance_factor(col));
-    windows.record(mean_unit, boundary,
-                   col.empty() ? 0.0 : summarize(col).mean);
-    windows.record(max_unit, boundary,
-                   col.empty() ? 0.0
-                               : *std::max_element(col.begin(), col.end()));
+    // `<prefix>.unit_load` histogram when this bucket closes.
+    const UnitLoadGauges g = unit_loads(
+        ring_, config_.epsilon,
+        windows.column_data(units, ring_.live_node_count()));
+    windows.record(heavy, boundary, g.heavy_fraction);
+    windows.record(imbalance, boundary, g.imbalance);
+    windows.record(mean_unit, boundary, g.mean);
+    windows.record(max_unit, boundary, g.max);
   });
 }
 

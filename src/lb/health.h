@@ -2,11 +2,9 @@
 //
 // The metrics registry accumulates what the protocols *did* (messages,
 // transfers, phase timings); a HealthProbe computes what the system *is*
-// at one instant: how unbalanced, how heavy, how stale.  Each reading is
-// a pure function of the ring (plus the optionally attached continuous
-// aggregator and maintenance tree), so sampling never perturbs the
-// simulation -- the schedule-invariance property the observability tests
-// pin.
+// at one instant: how unbalanced and how heavy.  Each reading is a pure
+// function of the ring, so sampling never perturbs the simulation -- the
+// schedule-invariance property the observability tests pin.
 //
 // All load gauges are in *unit load*: node i's load divided by its
 // capacity-proportional fair share (L / C) * C_i.  1.0 means exactly
@@ -19,8 +17,6 @@
 #include <vector>
 
 #include "chord/ring.h"
-#include "ktree/protocol.h"
-#include "lb/continuous.h"
 #include "obs/timeseries.h"
 #include "obs/window.h"
 
@@ -35,32 +31,20 @@ struct HealthProbeConfig {
   std::string prefix = "health";
 };
 
-/// Point-in-time health gauges over a ring (and optional attachments).
+/// Point-in-time health gauges over a ring.
 class HealthProbe {
  public:
   /// `ring` must outlive the probe.
   explicit HealthProbe(const chord::Ring& ring, HealthProbeConfig config = {});
 
-  /// Also report the continuous aggregator's root accuracy and staleness
-  /// (`clbi_root_error`, `clbi_staleness`).  Must outlive the probe.
-  void attach_continuous_lbi(const ContinuousLbi* clbi) noexcept {
-    clbi_ = clbi;
-  }
-  /// Also report the maintenance tree's instance count and height
-  /// (`ktree_instances`, `ktree_depth`).  Must outlive the probe.
-  void attach_tree(const ktree::MaintenanceProtocol* tree) noexcept {
-    tree_ = tree;
-  }
+  /// All readings of the ring as it is now, as (metric key, value) pairs
+  /// in a fixed order: nodes, heavy_fraction, mean/max/p99 unit load,
+  /// imbalance (max unit load / mean unit load), gini_unit_load, and
+  /// vs_per_node{q=max|p50|p99}.
+  [[nodiscard]] std::vector<std::pair<std::string, double>> measure() const;
 
-  /// All readings at simulated time `now`, as (metric key, value) pairs
-  /// in a fixed order.  Always emitted: nodes, heavy_fraction,
-  /// mean/max/p99 unit load, imbalance (max unit load / mean unit load),
-  /// gini_unit_load, and vs_per_node{q=p50|p99|max}.  Attachments add
-  /// their gauges (see the attach_* docs).
-  [[nodiscard]] std::vector<std::pair<std::string, double>> measure(
-      double now) const;
-
-  /// Append measure(t) to `sink` -- the obs::Sampler probe shape.
+  /// Append measure() to `sink`, stamped `t` -- the obs::Sampler probe
+  /// shape.
   void sample_into(double t, obs::TimeSeriesSink& sink) const;
 
   /// Publish into the online metrics plane: registers
@@ -68,7 +52,8 @@ class HealthProbe {
   /// gauge series plus a per-node `<prefix>.unit_load` SoA column
   /// (folded into a histogram each bucket), and adds a boundary probe
   /// that samples them into every closing bucket -- the signals the
-  /// alert rules read.  Both the probe and `windows` must outlive each
+  /// alert rules read.  The four gauges are the values measure() returns
+  /// for the same ring.  Both the probe and `windows` must outlive each
   /// other's use; call once per aggregator.
   void register_windows(obs::WindowedAggregator& windows) const;
 
@@ -79,8 +64,6 @@ class HealthProbe {
  private:
   const chord::Ring& ring_;
   HealthProbeConfig config_;
-  const ContinuousLbi* clbi_ = nullptr;
-  const ktree::MaintenanceProtocol* tree_ = nullptr;
 };
 
 }  // namespace p2plb::lb

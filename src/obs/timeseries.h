@@ -2,14 +2,14 @@
 //
 // The metrics registry answers "how much, in total"; the tracer answers
 // "what happened, when".  What neither can answer is "how did the system
-// *state* evolve": imbalance trajectories under churn, re-convergence
-// after a crash burst, staleness of the continuous aggregator -- the
-// curves the paper's Section 3.2 resilience claim and Section 5 results
-// are really about.  A TimeSeriesSink records (sim_time, metric, value)
-// samples for exactly that: probes (obs::Sampler, lb::HealthProbe) append
-// readings on a fixed cadence, the sink exports them as CSV or JSONL, and
-// the loaders below read the files back so tools/p2plb_report (and the
-// golden tests) can compute convergence times from a finished run.
+// *state* evolve": imbalance trajectories under churn and re-convergence
+// after a crash burst -- the curves the paper's Section 3.2 resilience
+// claim and Section 5 results are really about.  A TimeSeriesSink
+// records (sim_time, metric, value) samples for exactly that: probes
+// (obs::Sampler, lb::HealthProbe) append readings on a fixed cadence, the
+// sink exports them as CSV or JSONL, and the loaders below read the files
+// back so tools/p2plb_report (and the golden tests) can compute
+// convergence times from a finished run.
 //
 // Like the rest of obs, the sink is deterministic: samples are stored in
 // append order, timestamps come from the caller in sim::Time units, and

@@ -134,6 +134,13 @@ TEST(LintLayering, AllowedEdgeAndViolationEdge) {
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].rule, kRuleLayering);
   EXPECT_EQ(findings[0].line, 1u);
+  // The DHT and workload layers sit below the event engine.
+  for (const char* path : {"src/chord/x.cpp", "src/workload/x.cpp"}) {
+    const std::vector<Finding> engine =
+        lint_snippet(path, "#include \"sim/engine.h\"\n");
+    ASSERT_EQ(engine.size(), 1u) << path;
+    EXPECT_EQ(engine[0].rule, kRuleLayering);
+  }
 }
 
 TEST(LintLayering, NestedSimCoreModuleEdges) {
@@ -154,7 +161,7 @@ TEST(LintLayering, NestedSimCoreModuleEdges) {
   EXPECT_EQ(up[0].rule, kRuleLayering);
   // Other modules that may use sim still may not use its internals.
   const std::vector<Finding> in = lint_snippet(
-      "src/chord/x.cpp", "#include \"sim/core/event_arena.h\"\n");
+      "src/topo/x.cpp", "#include \"sim/core/event_arena.h\"\n");
   ASSERT_EQ(in.size(), 1u);
   EXPECT_EQ(in[0].rule, kRuleLayering);
 }

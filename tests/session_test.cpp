@@ -9,6 +9,7 @@
 //     Chrome trace carries every alert transition the alert file lists
 //     and the reported event count equals the written one;
 //   * --trace-sample is validated at construction;
+//   * finish() names every alert rule whose metric never registered;
 //   * a session with no flags set schedules nothing.
 #include <gtest/gtest.h>
 
@@ -216,13 +217,30 @@ TEST(Session, FinalWindowCloseReachesTheTrace) {
 }
 
 TEST(Session, MalformedTraceSampleIsRejected) {
-  for (const char* bad : {"1", "5/4", "1/0", "a/b", "1/4x", "-1/4"}) {
+  for (const char* bad :
+       {"1", "5/4", "1/0", "a/b", "1/4x", "-1/4", "1/-1", "+1/4"}) {
     const Cli cli = session_cli({"--trace-sample", bad});
     EXPECT_THROW(obstool::Session(cli, kSeriesPeriod, 1, 1), PreconditionError)
         << bad;
   }
   const Cli ok = session_cli({"--trace-sample", "1/4"});
   EXPECT_NO_THROW(obstool::Session(ok, kSeriesPeriod, 1, 1));
+}
+
+TEST(Session, WarnsAboutAlertRulesThatNeverEvaluate) {
+  // examples/alerts.conf's repair_burn reads ktree.repairs, which no
+  // balancing round registers; the health.* rules resolve.
+  Scenario s(6, 64);
+  obstool::Session session(session_cli({"--alerts", P2PLB_ALERTS_CONF}),
+                           kSeriesPeriod, 6, 64);
+  session.attach(s.engine, s.net, &s.health);
+  (void)s.run(session.sampler());
+  testing::internal::CaptureStderr();
+  session.finish();
+  const std::string warned = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(count_of(warned, "'repair_burn'"), 1u) << warned;
+  EXPECT_EQ(count_of(warned, "'ktree.repairs'"), 1u) << warned;
+  EXPECT_EQ(count_of(warned, "imbalance_high"), 0u) << warned;
 }
 
 TEST(Session, NoFlagsSchedulesNothing) {

@@ -27,6 +27,7 @@
 #include "obs/sampler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "obs/window.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 #include "workload/capacity.h"
@@ -333,7 +334,7 @@ TEST(HealthProbe, ComputesExactGaugesOnAHandBuiltRing) {
   // L = 3, C = 4, fair = 0.75; unit_a = 2 / 0.75, unit_b = 1 / 2.25.
   lb::HealthProbe probe(ring, {0.1, "health"});
   std::map<std::string, double> g;
-  for (const auto& [key, value] : probe.measure(5.0)) g[key] = value;
+  for (const auto& [key, value] : probe.measure()) g[key] = value;
   EXPECT_DOUBLE_EQ(g.at("health.nodes"), 2.0);
   EXPECT_DOUBLE_EQ(g.at("health.heavy_fraction"), 0.5);  // only node a
   EXPECT_DOUBLE_EQ(g.at("health.max_unit_load"), 2.0 / 0.75);
@@ -343,13 +344,9 @@ TEST(HealthProbe, ComputesExactGaugesOnAHandBuiltRing) {
   EXPECT_DOUBLE_EQ(g.at("health.vs_per_node{q=p50}"), 1.5);
   EXPECT_GT(g.at("health.imbalance"), 1.0);
   EXPECT_GT(g.at("health.gini_unit_load"), 0.0);
-  // No attachments: no clbi / ktree gauges.
-  EXPECT_EQ(g.count("health.clbi_root_error"), 0u);
-  EXPECT_EQ(g.count("health.ktree_instances"), 0u);
 }
 
-TEST(HealthProbe, ReportsAttachedAggregatorAndTree) {
-  sim::Engine engine;
+TEST(HealthProbe, WindowedGaugesMatchMeasure) {
   Rng rng(909);
   auto ring = workload::build_ring(
       32, 3, workload::CapacityProfile::gnutella_like(), rng);
@@ -357,30 +354,33 @@ TEST(HealthProbe, ReportsAttachedAggregatorAndTree) {
       ring,
       workload::scaled_load_model(ring, workload::LoadDistribution::kGaussian),
       rng);
-  ktree::MaintenanceProtocol tree(engine, ring, 2, 1.0,
-                                  ktree::unit_latency(ring));
-  lb::ContinuousLbi lbi(engine, ring, tree, 1.0, ktree::unit_latency(ring));
-  lb::HealthProbe probe(ring);
-  probe.attach_continuous_lbi(&lbi);
-  probe.attach_tree(&tree);
+  lb::HealthProbe probe(ring, {0.1, "health"});
+  obs::WindowedAggregator windows(obs::WindowConfig{10.0, 8});
+  probe.register_windows(windows);
 
-  // Before anything runs: staleness sentinel, no instances yet.
-  std::map<std::string, double> g0;
-  for (const auto& [key, value] : probe.measure(0.0)) g0[key] = value;
-  EXPECT_DOUBLE_EQ(g0.at("health.clbi_staleness"), -1.0);
+  // Each closing bucket must carry exactly what measure() reads off the
+  // same ring -- also after the ring shrinks under the column.
+  auto expect_same = [&](const char* when) {
+    std::map<std::string, double> g;
+    for (const auto& [key, value] : probe.measure()) g[key] = value;
+    for (const char* gauge : {"heavy_fraction", "imbalance", "mean_unit_load",
+                              "max_unit_load"}) {
+      const std::string key = std::string("health.") + gauge;
+      EXPECT_EQ(windows.last_over(windows.find_series(key), 1), g.at(key))
+          << key << " " << when;
+    }
+    EXPECT_EQ(windows.count_over(windows.find_series("health.unit_load"), 1),
+              ring.live_node_count())
+        << when;
+  };
+  windows.advance_to(10.0);
+  ASSERT_EQ(windows.closed_buckets(), 1u);
+  expect_same("at the first boundary");
 
-  tree.start();
-  lbi.start();
-  engine.run_until(80.0);
-  ASSERT_TRUE(tree.converged());
-  std::map<std::string, double> g;
-  for (const auto& [key, value] : probe.measure(engine.now())) g[key] = value;
-  EXPECT_LT(g.at("health.clbi_root_error"), 1e-9);
-  EXPECT_GE(g.at("health.clbi_staleness"), 0.0);
-  EXPECT_LE(g.at("health.clbi_staleness"), 1.0);  // refreshes every 1.0
-  EXPECT_DOUBLE_EQ(g.at("health.ktree_instances"),
-                   static_cast<double>(tree.instance_count()));
-  EXPECT_GE(g.at("health.ktree_depth"), 1.0);
+  ring.remove_node(ring.live_nodes().front());
+  windows.advance_to(20.0);
+  ASSERT_EQ(windows.closed_buckets(), 2u);
+  expect_same("after a node left");
 }
 
 // ---------------------------------------------------------------------------

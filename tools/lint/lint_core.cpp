@@ -32,10 +32,10 @@ constexpr std::initializer_list<LayerRule> kLayerDag = {
     // observer layer or the rest of sim.
     {"sim/core", {"common"}},
     {"sim", {"common", "obs", "sim/core"}},
-    {"chord", {"common", "sim"}},
+    {"chord", {"common"}},
     {"topo", {"common", "sim"}},
     {"pastry", {"common", "chord"}},
-    {"workload", {"common", "chord", "sim"}},
+    {"workload", {"common", "chord"}},
     {"ktree", {"common", "chord", "obs", "sim"}},
     {"lb", {"common", "hilbert", "topo", "obs", "sim", "chord", "ktree"}},
     // Tool subdirectories are modules too (the top-level tools/*.cpp

@@ -1,10 +1,12 @@
 #include "session.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "common/error.h"
 #include "common/table.h"
@@ -14,6 +16,21 @@
 #include "obs/metrics.h"
 
 namespace p2plb::obstool {
+
+namespace {
+
+/// Parses `<digits>/<digits>` -- no sign, no space, nothing after -- into
+/// `keep` and `of`.
+bool parse_ratio(std::string_view text, unsigned long long& keep,
+                 unsigned long long& of) {
+  const char* const end = text.data() + text.size();
+  const auto [slash, keep_err] = std::from_chars(text.data(), end, keep);
+  if (keep_err != std::errc() || slash == end || *slash != '/') return false;
+  const auto [last, of_err] = std::from_chars(slash + 1, end, of);
+  return of_err == std::errc() && last == end;
+}
+
+}  // namespace
 
 void Session::add_flags(Cli& cli, double series_period) {
   // Every output picks its format from its path suffix, case-insensitive.
@@ -77,12 +94,9 @@ Session::Session(const Cli& cli, double series_period, std::uint64_t seed,
       window_width_(cli.get_double("windows")),
       stall_ms_(cli.get_double("stall-ms")) {
   const std::string ratio = cli.get_string("trace-sample");
-  char tail = '\0';
   P2PLB_REQUIRE_MSG(
-      ratio.empty() ||
-          (std::sscanf(ratio.c_str(), "%llu/%llu%c", &sample_keep_,
-                       &sample_of_, &tail) == 2 &&
-           sample_of_ > 0 && sample_keep_ <= sample_of_),
+      ratio.empty() || (parse_ratio(ratio, sample_keep_, sample_of_) &&
+                        sample_of_ > 0 && sample_keep_ <= sample_of_),
       "--trace-sample must be K/M with K <= M (e.g. 1/64), got '" + ratio +
           "'");
   if (sample_every_ <= 0.0)
@@ -208,6 +222,14 @@ void Session::finish() {
   // Close the buckets the run's end passed first: trailing transitions
   // then reach the alert file, the trace and the metrics alike.
   if (windows_) windows_->advance_to(engine_->now());
+  // Rules resolve their series lazily, so a rule whose metric never
+  // registered stayed false at every boundary without a word.
+  if (alerts_)
+    for (const obs::AlertRule& rule : alerts_->rules())
+      if (!windows_->find_series(rule.metric).valid())
+        std::cerr << "warning: alert rule '" << rule.name
+                  << "' never evaluated: no series '" << rule.metric
+                  << "' was registered\n";
   if (alerts_ && !alerts_out_.empty()) {
     obs::write_alerts_file(*alerts_, alerts_out_);
     std::cerr << "alerts written to " << alerts_out_ << " ("
