@@ -289,13 +289,13 @@ void BM_TracedRound(benchmark::State& state, const char* flag,
                                       bench::kPaperServersPerNode, 1);
   const char* argv[] = {"BM_TracedRound", flag, value};
   Cli cli;
-  obstool::Session::add_flags(cli, 5.0);
+  obstool::Session::add_flags(cli);
   (void)cli.parse(*flag == '\0' ? 1 : 3, argv);
   std::uint64_t events = 0;
   for (auto _ : state) {
     chord::Ring ring = setup.deployment.ring;
     Rng rng = setup.rng;
-    obstool::Session session(cli, 5.0, 1, ring.node_count());
+    obstool::Session session(cli, 1, ring.node_count());
     sim::Engine engine;
     sim::Network net(engine, setup.oracle.latency());
     lb::HealthProbe health(ring);

@@ -35,9 +35,6 @@ namespace {
 
 using namespace p2plb;
 
-/// The sampling period `--series` implies without `--sample-every`.
-constexpr double kSeriesPeriod = 5.0;
-
 /// Binary-search the reconvergence instant to one check period.
 sim::Time measure_recovery(sim::Engine& engine,
                            ktree::MaintenanceProtocol& protocol,
@@ -61,7 +58,7 @@ int main(int argc, char** argv) {
   cli.add_flag("crash-fraction", "fraction of nodes to crash", "0.1");
   cli.add_flag("timed-nodes",
                "ring size for the end-to-end timed balancing round", "512");
-  p2plb::obstool::Session::add_flags(cli, kSeriesPeriod);
+  p2plb::obstool::Session::add_flags(cli);
   cli.add_flag("csv", "emit CSV instead of aligned tables", "false");
   if (!cli.parse(argc, argv)) return 0;
   const bool csv = cli.get_bool("csv");
@@ -129,7 +126,7 @@ int main(int argc, char** argv) {
   // how fast the engine chews through it (wall clock, events/sec).  The
   // oracle fill and the event loop are timed separately.
   const auto nodes = static_cast<std::size_t>(cli.get_int("timed-nodes"));
-  obstool::Session session(cli, kSeriesPeriod, seed, nodes);
+  obstool::Session session(cli, seed, nodes);
   bench::TimedRoundSetup setup(nodes, servers, seed);
   sim::Engine engine;
   sim::Network net(engine, setup.oracle.latency());
@@ -138,7 +135,6 @@ int main(int argc, char** argv) {
   lb::ProtocolRound round(net, setup.deployment.ring, {}, setup.rng);
   const auto t0 = std::chrono::steady_clock::now();
   round.start();
-  session.start_sampling();
   engine.run();
   const double wall_seconds = std::chrono::duration<double>(
                                   std::chrono::steady_clock::now() - t0)

@@ -98,9 +98,6 @@ struct World {
   }
 };
 
-/// The sampling period `--series` implies without `--sample-every`.
-constexpr double kSeriesPeriod = 10.0;
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -113,12 +110,12 @@ int main(int argc, char** argv) {
                "24");
   cli.add_flag("crash-burst",
                "nodes crashed at once under the designated round", "1");
-  obstool::Session::add_flags(cli, kSeriesPeriod);
+  obstool::Session::add_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
 
   World world;
   const auto initial = static_cast<std::size_t>(cli.get_int("nodes"));
-  obstool::Session session(cli, kSeriesPeriod, kSeed, initial);
+  obstool::Session session(cli, kSeed, initial);
   world.ring = workload::build_ring(initial, 5, world.capacities, world.rng);
   world.reassign_loads();
 
@@ -207,7 +204,7 @@ int main(int argc, char** argv) {
           ++crashed;
         }
         world.reassign_loads();
-        // Mark the disturbance and capture the spike immediately.
+        // Mark the disturbance; the next window boundary reads the spike.
         session.mark(engine.now(), "event.crash",
                      static_cast<double>(crashed));
       });
@@ -218,8 +215,6 @@ int main(int argc, char** argv) {
 
   // The churn processes reschedule themselves forever; run to a horizon
   // just past the last balancing sweep instead of draining the queue.
-  // (The sampler chain never parks here: the churn keeps the engine busy.)
-  session.start_sampling();
   engine.run_until(kBalanceInterval * (intervals + 0.5));
   session.finish();
   std::cout << "churn simulation: " << intervals << " balancing intervals, "

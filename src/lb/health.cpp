@@ -83,10 +83,6 @@ std::vector<std::pair<std::string, double>> HealthProbe::measure() const {
   return out;
 }
 
-void HealthProbe::sample_into(double t, obs::TimeSeriesSink& sink) const {
-  for (const auto& [key, value] : measure()) sink.append(t, key, value);
-}
-
 void HealthProbe::register_windows(obs::WindowedAggregator& windows) const {
   const std::string p = config_.prefix + ".";
   const obs::SeriesId heavy = windows.gauge_series(p + "heavy_fraction");

@@ -1,10 +1,12 @@
-// Derived system-health gauges for time-series sampling.
+// Derived system-health gauges, read at window boundaries.
 //
 // The metrics registry accumulates what the protocols *did* (messages,
 // transfers, phase timings); a HealthProbe computes what the system *is*
 // at one instant: how unbalanced and how heavy.  Each reading is a pure
-// function of the ring, so sampling never perturbs the simulation -- the
-// schedule-invariance property the observability tests pin.
+// function of the ring, so reading it at every boundary of a windowed
+// plane (obs::WindowedAggregator, closed on the engine's clock) never
+// perturbs the simulation -- the schedule-invariance property the
+// observability tests pin.
 //
 // All load gauges are in *unit load*: node i's load divided by its
 // capacity-proportional fair share (L / C) * C_i.  1.0 means exactly
@@ -17,7 +19,6 @@
 #include <vector>
 
 #include "chord/ring.h"
-#include "obs/timeseries.h"
 #include "obs/window.h"
 
 namespace p2plb::lb {
@@ -42,10 +43,6 @@ class HealthProbe {
   /// imbalance (max unit load / mean unit load), gini_unit_load, and
   /// vs_per_node{q=max|p50|p99}.
   [[nodiscard]] std::vector<std::pair<std::string, double>> measure() const;
-
-  /// Append measure() to `sink`, stamped `t` -- the obs::Sampler probe
-  /// shape.
-  void sample_into(double t, obs::TimeSeriesSink& sink) const;
 
   /// Publish into the online metrics plane: registers
   /// `<prefix>.{heavy_fraction,imbalance,mean_unit_load,max_unit_load}`

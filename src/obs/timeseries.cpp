@@ -212,9 +212,11 @@ Reconvergence measure_reconvergence(
   r.event_time = event_time;
   if (points.empty()) return r;
   // Pre-event level: the last reading strictly before the event.  A
-  // reading at exactly event_time is ambiguous -- samplers tick right at
-  // a scripted disturbance to capture the spike, so it would poison the
-  // baseline -- and is excluded from both sides.
+  // reading at exactly event_time is ambiguous -- a window boundary that
+  // coincides with a scripted disturbance reads the state before it,
+  // while a reading taken inside the disturbance's event carries the
+  // spike and would poison the baseline -- and is excluded from both
+  // sides.
   r.baseline = points.front().second;
   for (const auto& [t, v] : points) {
     if (t >= event_time) break;

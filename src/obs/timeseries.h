@@ -5,11 +5,12 @@
 // *state* evolve": imbalance trajectories under churn and re-convergence
 // after a crash burst -- the curves the paper's Section 3.2 resilience
 // claim and Section 5 results are really about.  A TimeSeriesSink
-// records (sim_time, metric, value) samples for exactly that: probes
-// (obs::Sampler, lb::HealthProbe) append readings on a fixed cadence, the
-// sink exports them as CSV or JSONL, and the loaders below read the files
-// back so tools/p2plb_report (and the golden tests) can compute
-// convergence times from a finished run.
+// records (sim_time, metric, value) samples for exactly that: a boundary
+// probe of the windowed plane (obs::WindowedAggregator) appends the
+// lb::HealthProbe gauges at every bucket boundary, the sink exports them
+// as CSV or JSONL, and the loaders below read the files back so
+// tools/p2plb_report (and the golden tests) can compute convergence
+// times from a finished run.
 //
 // Like the rest of obs, the sink is deterministic: samples are stored in
 // append order, timestamps come from the caller in sim::Time units, and
@@ -93,8 +94,8 @@ struct Reconvergence {
   double time = 0.0;
   /// The pre-event level: the last sample strictly before event_time (the
   /// first sample overall when none precedes the event).  A sample at
-  /// exactly event_time is excluded from both sides: samplers tick right
-  /// at a scripted disturbance, so that reading carries the spike.
+  /// exactly event_time is excluded from both sides: a reading stamped
+  /// at the disturbance's own instant may or may not carry the spike.
   double baseline = 0.0;
   /// Worst post-event value seen up to re-convergence (or up to the end
   /// of the series when it never re-converges).

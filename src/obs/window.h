@@ -13,10 +13,13 @@
 // Design rules:
 //
 //   * Passive advancement.  The aggregator schedules nothing.  Buckets
-//     close when a record (or an explicit advance_to, e.g. from an
-//     obs::Sampler probe) carries the clock past a boundary, so
-//     attaching one adds no events -- the schedule stays byte-identical,
-//     which the window tests and the CI alert-smoke cmp gate pin.
+//     close when a record or an advance_to carries the clock past a
+//     boundary.  sim::Engine::attach_windows makes the engine's clock
+//     the driver: before each event it advances to the event's time, so
+//     a bucket closes with the state as of its end (every earlier event
+//     run, none at or after it), quiet periods included.  Attaching one
+//     adds no events -- the schedule stays byte-identical, which the
+//     window and engine tests and the CI alert-smoke cmp gates pin.
 //   * Bounded memory.  Each series owns ring_buckets buckets, full stop.
 //     A 10^6-node run holds the same few kilobytes per series as a
 //     100-node run; only columns scale with N, as one dense double each.

@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/wallclock.h"
+#include "obs/window.h"
 
 namespace p2plb::sim {
 
@@ -182,6 +183,7 @@ void Engine::pop_front(const Front& front) {
 bool Engine::step() {
   Front front;
   if (!find_front(front)) return false;
+  if (windows_ != nullptr) windows_->advance_to(front.time);
   pop_front(front);
   P2PLB_ASSERT(front.time >= now_);
   EventFn fn = arena_.take_fn(front.slot);

@@ -38,6 +38,7 @@
 namespace p2plb::obs {
 class MetricsRegistry;
 class Profiler;
+class WindowedAggregator;
 }
 
 namespace p2plb::sim {
@@ -161,6 +162,18 @@ class Engine {
   void attach_profiler(obs::Profiler* profiler);
   [[nodiscard]] obs::Profiler* profiler() const noexcept { return profiler_; }
 
+  /// Close `windows`'s buckets on this engine's clock (nullptr detaches).
+  /// Before step() moves the clock to an event at time t it calls
+  /// `windows->advance_to(t)`, so each bucket ending at or before t
+  /// closes with the state as of its end: every event before the
+  /// boundary has run, none at or after it.  Schedules nothing (probes
+  /// and hooks must not schedule either); one pointer test per event
+  /// when detached.  The plane is caller-owned and must outlive the
+  /// engine's use of it.
+  void attach_windows(obs::WindowedAggregator* windows) noexcept {
+    windows_ = windows;
+  }
+
   [[nodiscard]] EngineIntrospection introspection() const;
 
   /// Export the introspection counters as sim.* gauges.
@@ -220,8 +233,9 @@ class Engine {
 
   /// Ownership domain of the whole event queue (clock, queues, arena,
   /// insert counters).  Every mutator below is annotated as holding it;
-  /// the attach-time configuration pointers (recorder_, hooks, profiler)
-  /// are setup-phase state and intentionally stay outside the shard.
+  /// the attach-time configuration pointers (recorder_, hooks, profiler,
+  /// windows) are setup-phase state and intentionally stay outside the
+  /// shard.
   common::ShardCapability engine_shard_;
 
   QueueKind kind_;
@@ -251,6 +265,7 @@ class Engine {
   double stall_wall_ms_ = 0.0;
   obs::Profiler* profiler_ = nullptr;
   std::uint32_t profile_frame_ = 0;  ///< interned "engine.event" frame
+  obs::WindowedAggregator* windows_ = nullptr;
   std::uint64_t wheel_inserts_ = 0;   // p2plb: shared(engine_shard_)
   std::uint64_t batch_splices_ = 0;   // p2plb: shared(engine_shard_)
   std::uint64_t early_inserts_ = 0;   // p2plb: shared(engine_shard_)

@@ -8,6 +8,7 @@
 //   * finish() closes the final windows before it writes the trace, so a
 //     Chrome trace carries every alert transition the alert file lists
 //     and the reported event count equals the written one;
+//   * --series leaves the trace and the event count unchanged;
 //   * --trace-sample is validated at construction;
 //   * finish() names every alert rule whose metric never registered;
 //   * a session with no flags set schedules nothing.
@@ -29,7 +30,6 @@
 #include "obs/alert.h"
 #include "obs/binary_trace.h"
 #include "obs/metrics.h"
-#include "obs/sampler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "obs/window.h"
@@ -42,13 +42,12 @@
 namespace p2plb {
 namespace {
 
-constexpr double kSeriesPeriod = 5.0;
 constexpr double kEpsilon = 0.05;
 
 /// A parsed command line carrying the session flag set.
 Cli session_cli(const std::vector<std::string>& args) {
   Cli cli;
-  obstool::Session::add_flags(cli, kSeriesPeriod);
+  obstool::Session::add_flags(cli);
   std::vector<const char*> argv = {"session_test"};
   for (const std::string& a : args) argv.push_back(a.c_str());
   EXPECT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
@@ -94,8 +93,8 @@ struct Scenario {
     config.balancer.epsilon = kEpsilon;
   }
 
-  lb::ControllerResult run(obs::Sampler* sampler) {
-    return lb::balance_until_stable(net, ring, config, brng, {}, sampler);
+  lb::ControllerResult run() {
+    return lb::balance_until_stable(net, ring, config, brng, {});
   }
 
   chord::Ring ring;
@@ -131,22 +130,26 @@ TEST(Session, WiredRoundMatchesHandWiredReference) {
     s.net.attach_tracer(&tracer);
     obs::WindowedAggregator windows(obs::WindowConfig{10.0, 64});
     s.net.attach_windows(&windows);
+    s.engine.attach_windows(&windows);
     s.health.register_windows(windows);
     obs::AlertEngine alerts(windows,
                             obs::load_alert_rules_file(P2PLB_ALERTS_CONF));
     alerts.attach_tracer(&tracer);
     alerts.attach_metrics(&s.net.metrics());
+    // The series: health gauges plus net.* metrics, read at the start,
+    // at every boundary and at the end.
     obs::TimeSeriesSink series;
-    obs::Sampler sampler(series, kSeriesPeriod);
-    sampler.add_probe([&s](double t, obs::TimeSeriesSink& sink) {
-      s.health.sample_into(t, sink);
-    });
-    sampler.add_registry(s.net.metrics(), {"net."});
-    sampler.add_probe([&windows](double t, obs::TimeSeriesSink&) {
-      windows.advance_to(t);
-    });
-    (void)s.run(&sampler);
+    const auto read = [&s, &series](double t) {
+      for (const auto& [key, value] : s.health.measure())
+        series.append(t, key, value);
+      for (const auto& [key, value] : s.net.metrics().snapshot().values)
+        if (key.rfind("net.", 0) == 0) series.append(t, key, value);
+    };
+    read(s.engine.now());
+    windows.add_boundary_probe(read);
+    (void)s.run();
     windows.advance_to(s.engine.now());
+    if (s.engine.now() > windows.last_boundary()) read(s.engine.now());
     obs::write_alerts_file(alerts, ref.alerts);
     jsonl.flush();
     obs::write_series_file(series, ref.series);
@@ -162,9 +165,9 @@ TEST(Session, WiredRoundMatchesHandWiredReference) {
                                  got.metrics, "--series", got.series,
                                  "--alerts", P2PLB_ALERTS_CONF, "--alerts-out",
                                  got.alerts});
-    obstool::Session session(cli, kSeriesPeriod, 3, 128);
+    obstool::Session session(cli, 3, 128);
     session.attach(s.engine, s.net, &s.health);
-    (void)s.run(session.sampler());
+    (void)s.run();
     session.finish();
   }
 
@@ -185,9 +188,9 @@ TEST(Session, FinalWindowCloseReachesTheTrace) {
     Scenario s(4, 64);
     const Cli cli =
         session_cli({"--trace", chrome, "--alerts", P2PLB_ALERTS_CONF});
-    obstool::Session session(cli, kSeriesPeriod, 4, 64);
+    obstool::Session session(cli, 4, 64);
     session.attach(s.engine, s.net, &s.health);
-    (void)s.run(session.sampler());
+    (void)s.run();
     const double end = s.engine.now();
     session.finish();
     transitions = session.alert_events().size();
@@ -202,9 +205,9 @@ TEST(Session, FinalWindowCloseReachesTheTrace) {
   Scenario s(4, 64);
   const Cli cli =
       session_cli({"--trace", jsonl, "--alerts", P2PLB_ALERTS_CONF});
-  obstool::Session session(cli, kSeriesPeriod, 4, 64);
+  obstool::Session session(cli, 4, 64);
   session.attach(s.engine, s.net, &s.health);
-  (void)s.run(session.sampler());
+  (void)s.run();
   testing::internal::CaptureStderr();
   session.finish();
   const std::string reported = testing::internal::GetCapturedStderr();
@@ -216,25 +219,49 @@ TEST(Session, FinalWindowCloseReachesTheTrace) {
   EXPECT_EQ(count_of(lines, "\"lane\":\"alert\""), transitions);
 }
 
+// The series is read at window boundaries the engine closes on its own
+// clock, so adding --series changes neither the trace nor the schedule.
+TEST(Session, SeriesLeavesTheRunByteIdentical) {
+  std::string traces[2];
+  std::uint64_t events[2] = {};
+  for (const bool with_series : {false, true}) {
+    const std::string trace = temp_path("series_invariance.jsonl");
+    const std::string series = temp_path("series_invariance.csv");
+    std::vector<std::string> args = {"--trace", trace};
+    if (with_series) args.insert(args.end(), {"--series", series});
+    Scenario s(5, 128);
+    obstool::Session session(session_cli(args), 5, 128);
+    session.attach(s.engine, s.net, &s.health);
+    (void)s.run();
+    session.finish();
+    traces[with_series] = slurp(trace);
+    events[with_series] = s.engine.events_executed();
+    if (with_series) {
+      EXPECT_NE(count_of(slurp(series), "\n"), 0u);
+    }
+  }
+  EXPECT_EQ(traces[0], traces[1]);
+  EXPECT_EQ(events[0], events[1]);
+}
+
 TEST(Session, MalformedTraceSampleIsRejected) {
   for (const char* bad :
        {"1", "5/4", "1/0", "a/b", "1/4x", "-1/4", "1/-1", "+1/4"}) {
     const Cli cli = session_cli({"--trace-sample", bad});
-    EXPECT_THROW(obstool::Session(cli, kSeriesPeriod, 1, 1), PreconditionError)
-        << bad;
+    EXPECT_THROW(obstool::Session(cli, 1, 1), PreconditionError) << bad;
   }
   const Cli ok = session_cli({"--trace-sample", "1/4"});
-  EXPECT_NO_THROW(obstool::Session(ok, kSeriesPeriod, 1, 1));
+  EXPECT_NO_THROW(obstool::Session(ok, 1, 1));
 }
 
 TEST(Session, WarnsAboutAlertRulesThatNeverEvaluate) {
   // examples/alerts.conf's repair_burn reads ktree.repairs, which no
   // balancing round registers; the health.* rules resolve.
   Scenario s(6, 64);
-  obstool::Session session(session_cli({"--alerts", P2PLB_ALERTS_CONF}),
-                           kSeriesPeriod, 6, 64);
+  obstool::Session session(session_cli({"--alerts", P2PLB_ALERTS_CONF}), 6,
+                           64);
   session.attach(s.engine, s.net, &s.health);
-  (void)s.run(session.sampler());
+  (void)s.run();
   testing::internal::CaptureStderr();
   session.finish();
   const std::string warned = testing::internal::GetCapturedStderr();
@@ -245,14 +272,13 @@ TEST(Session, WarnsAboutAlertRulesThatNeverEvaluate) {
 
 TEST(Session, NoFlagsSchedulesNothing) {
   Scenario bare(5, 64);
-  (void)bare.run(nullptr);
+  (void)bare.run();
 
   Scenario wired(5, 64);
-  obstool::Session session(session_cli({}), kSeriesPeriod, 5, 64);
+  obstool::Session session(session_cli({}), 5, 64);
   EXPECT_FALSE(session.active());
   session.attach(wired.engine, wired.net, &wired.health);
-  EXPECT_EQ(session.sampler(), nullptr);
-  (void)wired.run(session.sampler());
+  (void)wired.run();
   session.finish();
 
   EXPECT_EQ(wired.engine.events_executed(), bare.engine.events_executed());

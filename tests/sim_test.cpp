@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "obs/metrics.h"
+#include "obs/window.h"
 #include "sim/engine.h"
 #include "sim/network.h"
 
@@ -152,6 +154,52 @@ TEST(Engine, RunWithMaxEvents) {
   EXPECT_EQ(e.run(4), 4u);
   EXPECT_EQ(fired, 4);
   EXPECT_EQ(e.pending(), 6u);
+}
+
+// A plane attached to the engine closes its buckets on the engine's clock:
+// each boundary sees every event before it and none at or after it.
+TEST(EngineWindows, BucketsCloseWithTheStateAsOfTheirEnd) {
+  Engine e;
+  obs::WindowedAggregator w({10.0, 16});
+  e.attach_windows(&w);
+  const obs::SeriesId x = w.counter_series("x");
+  int state = 0;
+  std::vector<std::pair<double, int>> seen;  // (boundary, state) per probe
+  std::vector<std::pair<double, double>> closed_x;  // (boundary, x's sum)
+  w.add_boundary_probe([&](double t) { seen.emplace_back(t, state); });
+  w.set_boundary_hook(
+      [&](double t) { closed_x.emplace_back(t, w.sum_over(x, 1)); });
+  e.schedule_at(25.0, [&] { state |= 1; });
+  e.schedule_at(30.0, [&] {
+    state |= 2;
+    w.record(x, e.now(), 1.0);
+  });
+  e.schedule_at(95.0, [] {});
+  e.run();
+
+  const std::vector<std::pair<double, int>> want = {
+      {10.0, 0}, {20.0, 0}, {30.0, 1}, {40.0, 3}, {50.0, 3},
+      {60.0, 3}, {70.0, 3}, {80.0, 3}, {90.0, 3}};
+  EXPECT_EQ(seen, want);
+  // The t = 30 event's record lands in [30, 40), closed at 40.
+  ASSERT_EQ(closed_x.size(), want.size());
+  for (const auto& [t, sum] : closed_x)
+    EXPECT_DOUBLE_EQ(sum, t == 40.0 ? 1.0 : 0.0) << "bucket ending at " << t;
+  EXPECT_EQ(e.events_executed(), 3u);  // closing schedules nothing
+}
+
+TEST(EngineWindows, DetachedEngineClosesNothing) {
+  Engine e;
+  obs::WindowedAggregator w({10.0, 16});
+  e.attach_windows(&w);
+  e.attach_windows(nullptr);
+  int probes = 0;
+  w.add_boundary_probe([&probes](double) { ++probes; });
+  e.schedule_at(25.0, [] {});
+  e.schedule_at(95.0, [] {});
+  e.run();
+  EXPECT_EQ(probes, 0);
+  EXPECT_EQ(w.closed_buckets(), 0u);
 }
 
 TEST(Network, DeliversWithLatency) {

@@ -1,14 +1,14 @@
 // Tests for the time-series observability layer: TimeSeriesSink exports
-// and loaders, re-convergence measurement, the Sampler's idle-stop
-// periodic chain, lb::HealthProbe gauges, and the report generator.
+// and loaders, re-convergence measurement, lb::HealthProbe gauges read at
+// window boundaries, and the report generator.
 //
 // Two properties are pinned hard:
 //   * a deterministic churn scenario with a scripted crash burst yields a
 //     byte-stable series from which measure_reconvergence computes one
-//     exact, finite recovery time (the ISSUE's acceptance scenario);
-//   * a sampler never changes balancing decisions -- it adds engine
-//     events, but the timestamp-free trace, the transfers and the final
-//     loads match a run without one (it only reads).
+//     exact, finite recovery time;
+//   * a series read at the boundaries of an engine-closed window plane
+//     never changes the run -- the trace (timestamps included), the event
+//     count, the transfers and the final loads match a run without it.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -24,7 +24,6 @@
 #include "lb/protocol_round.h"
 #include "obs/format.h"
 #include "obs/report.h"
-#include "obs/sampler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "obs/window.h"
@@ -155,9 +154,9 @@ TEST(Reconvergence, MeasuresRecoveryAgainstThePreEventBaseline) {
 }
 
 TEST(Reconvergence, SampleAtTheEventInstantIsExcluded) {
-  // The forced sampler tick at a scripted crash lands at exactly the
-  // event time and carries the spike; it must poison neither baseline
-  // nor peak-side bookkeeping.
+  // A reading stamped exactly at a scripted crash is ambiguous -- it may
+  // or may not carry the spike; it must poison neither baseline nor
+  // peak-side bookkeeping.
   const std::vector<std::pair<double, double>> points{
       {10.0, 0.1}, {15.0, 0.9}, {20.0, 0.8}, {25.0, 0.1}};
   const obs::Reconvergence rc = obs::measure_reconvergence(points, 15.0);
@@ -182,77 +181,21 @@ TEST(Reconvergence, HandlesDegenerateSeries) {
   EXPECT_DOUBLE_EQ(stuck.peak, 0.6);
 }
 
-// ---------------------------------------------------------------------------
-// Sampler
-// ---------------------------------------------------------------------------
-
-TEST(Sampler, TickRunsProbesAndFiltersRegistries) {
-  obs::MetricsRegistry reg;
-  reg.counter("net.messages").add(3.0);
-  reg.counter("lb.rounds").add(1.0);
-  obs::TimeSeriesSink sink;
-  obs::Sampler sampler(sink, 1.0);
-  sampler.add_probe(
-      [](double t, obs::TimeSeriesSink& s) { s.append(t, "probe", t * 2.0); });
-  sampler.add_registry(reg, {"net."});
-  sampler.tick(4.0);
-  ASSERT_EQ(sink.size(), 2u);  // the lb.* metric is filtered out
-  EXPECT_EQ(sink.samples()[0], (obs::Sample{4.0, "probe", 8.0}));
-  EXPECT_EQ(sink.samples()[1], (obs::Sample{4.0, "net.messages", 3.0}));
-  EXPECT_EQ(sampler.ticks(), 1u);
-  EXPECT_THROW(obs::Sampler bad(sink, 0.0), PreconditionError);
-}
-
-TEST(Sampler, PeriodicChainParksAtIdleAndRearms) {
-  sim::Engine engine;
-  obs::TimeSeriesSink sink;
-  obs::Sampler sampler(sink, 1.0);
-  sampler.add_probe(
-      [](double t, obs::TimeSeriesSink& s) { s.append(t, "x", 1.0); });
-  engine.schedule_after(3.5, [] {});
-  sampler.ensure_started(engine);
-  EXPECT_TRUE(sampler.running());
-  const std::size_t pending = engine.pending();
-  sampler.ensure_started(engine);  // already running: no second chain
-  EXPECT_EQ(engine.pending(), pending);
-  EXPECT_EQ(sink.size(), 1u);
-  engine.run();  // must return: the chain parks once the engine is idle
-  // Ticks at 0 (synchronous), 1, 2, 3 (work pending), 4 (idle -> park).
-  EXPECT_EQ(sink.size(), 5u);
-  EXPECT_FALSE(sampler.running());
-  EXPECT_DOUBLE_EQ(sink.samples().back().t, 4.0);
-
-  // Re-arm for a second drain: one immediate tick plus the new chain.
-  engine.schedule_after(1.5, [] {});
-  sampler.ensure_started(engine);
-  EXPECT_TRUE(sampler.running());
-  engine.run();
-  // Ticks at 4 (immediate), 5 (work pending), 6 (idle -> park).
-  EXPECT_EQ(sink.size(), 8u);
-  EXPECT_FALSE(sampler.running());
+/// Append `health`'s readings to `sink` at every boundary of `windows`,
+/// stamped with the boundary time -- the series probe obstool::Session
+/// adds for --series.
+void read_health_at_boundaries(obs::WindowedAggregator& windows,
+                               const lb::HealthProbe& health,
+                               obs::TimeSeriesSink& sink) {
+  windows.add_boundary_probe([&health, &sink](double t) {
+    for (const auto& [key, value] : health.measure())
+      sink.append(t, key, value);
+  });
 }
 
 // ---------------------------------------------------------------------------
-// Schedule invariance of the timed controller's sampler hook
+// Schedule invariance of the engine-closed series plane
 // ---------------------------------------------------------------------------
-
-enum class SamplerMode { kNone, kEnabled };
-
-/// Drop the `"t":<number>` fields from a JSONL trace, leaving event kind,
-/// lane, name and args -- the decision content.
-std::string strip_timestamps(const std::string& jsonl) {
-  std::string out;
-  std::istringstream is(jsonl);
-  std::string line;
-  while (std::getline(is, line)) {
-    const std::size_t start = line.find("{\"t\":");
-    const std::size_t end = line.find(',', start);
-    if (start == 0 && end != std::string::npos) line.erase(1, end - 1);
-    out += line;
-    out += '\n';
-  }
-  return out;
-}
 
 struct TimedOutcome {
   std::uint64_t events_executed = 0;
@@ -262,7 +205,7 @@ struct TimedOutcome {
   std::size_t samples = 0;
 };
 
-TimedOutcome run_timed_controller(SamplerMode mode) {
+TimedOutcome run_timed_controller(bool with_series) {
   Rng rng(41);
   auto ring = workload::build_ring(
       32, 3, workload::CapacityProfile::gnutella_like(), rng);
@@ -277,18 +220,20 @@ TimedOutcome run_timed_controller(SamplerMode mode) {
   obs::Tracer tracer;
   net.attach_tracer(&tracer);
   obs::TimeSeriesSink sink;
-  obs::Sampler sampler(sink, 2.0);
+  obs::WindowedAggregator windows(obs::WindowConfig{2.0, 16});
   lb::HealthProbe health(ring, {0.1, "health"});
-  sampler.add_probe([&health](double t, obs::TimeSeriesSink& s) {
-    health.sample_into(t, s);
-  });
+  if (with_series) {
+    net.attach_windows(&windows);
+    engine.attach_windows(&windows);
+    health.register_windows(windows);
+    read_health_at_boundaries(windows, health, sink);
+  }
 
   lb::ControllerConfig config;
   config.max_rounds = 3;
   Rng brng(7);
-  const lb::ControllerResult result = lb::balance_until_stable(
-      net, ring, config, brng, {},
-      mode == SamplerMode::kNone ? nullptr : &sampler);
+  const lb::ControllerResult result =
+      lb::balance_until_stable(net, ring, config, brng, {});
 
   TimedOutcome out;
   out.events_executed = engine.events_executed();
@@ -302,19 +247,18 @@ TimedOutcome run_timed_controller(SamplerMode mode) {
   return out;
 }
 
-TEST(SamplerInvariance, EnabledSamplerReadsButNeverSteers) {
-  const TimedOutcome none = run_timed_controller(SamplerMode::kNone);
-  const TimedOutcome enabled = run_timed_controller(SamplerMode::kEnabled);
-  // Sampling adds engine events and stretches each round's drain (later
-  // rounds *start* a little later), so traces are not byte-comparable --
-  // but every decision is: same messages sent, same transfers, same final
-  // loads.  Compare the traces with timestamps ignored.
-  EXPECT_EQ(strip_timestamps(none.trace_jsonl),
-            strip_timestamps(enabled.trace_jsonl));
-  EXPECT_EQ(none.transfers, enabled.transfers);
-  EXPECT_EQ(none.node_loads, enabled.node_loads);
-  EXPECT_GT(enabled.events_executed, none.events_executed);
-  EXPECT_GT(enabled.samples, 0u);
+TEST(SeriesInvariance, EngineClosedPlaneLeavesTheRunByteIdentical) {
+  const TimedOutcome none = run_timed_controller(false);
+  const TimedOutcome series = run_timed_controller(true);
+  // The engine closes the plane's buckets on its own clock and schedules
+  // nothing: the trace is byte-identical, timestamps included, and not a
+  // single event is added.
+  EXPECT_EQ(none.trace_jsonl, series.trace_jsonl);
+  EXPECT_EQ(none.events_executed, series.events_executed);
+  EXPECT_EQ(none.transfers, series.transfers);
+  EXPECT_EQ(none.node_loads, series.node_loads);
+  EXPECT_EQ(none.samples, 0u);
+  EXPECT_GT(series.samples, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -388,7 +332,8 @@ TEST(HealthProbe, WindowedGaugesMatchMeasure) {
 // ---------------------------------------------------------------------------
 
 /// Deterministic mini churn run: 64 nodes balancing every 100 time units,
-/// a burst of 8 crashes (plus a load redraw) at t = 350, sampled every 10.
+/// a burst of 8 crashes (plus a load redraw) at t = 350, health read at
+/// t = 0 and at every boundary of a width-10 plane the engine closes.
 /// (Seed re-pinned when Node::servers became canonically sorted.)
 obs::TimeSeriesSink run_crash_burst_scenario() {
   Rng rng(2025);
@@ -403,11 +348,12 @@ obs::TimeSeriesSink run_crash_burst_scenario() {
     return a == b ? 0.0 : 1.0;
   });
   obs::TimeSeriesSink sink;
-  obs::Sampler sampler(sink, 10.0);
+  obs::WindowedAggregator windows(obs::WindowConfig{10.0, 64});
+  engine.attach_windows(&windows);
   lb::HealthProbe health(ring, {0.1, "health"});
-  sampler.add_probe([&health](double t, obs::TimeSeriesSink& s) {
-    health.sample_into(t, s);
-  });
+  for (const auto& [key, value] : health.measure())
+    sink.append(0.0, key, value);
+  read_health_at_boundaries(windows, health, sink);
 
   int started = 0;
   std::vector<std::unique_ptr<lb::ProtocolRound>> rounds;
@@ -431,10 +377,9 @@ obs::TimeSeriesSink run_crash_burst_scenario() {
                                     workload::LoadDistribution::kGaussian),
         crng);
     sink.append(engine.now(), "event.crash", 8.0);
-    sampler.tick(engine.now());
   });
-  sampler.ensure_started(engine);
   engine.run_until(850.0);
+  windows.advance_to(engine.now());
   return sink;
 }
 

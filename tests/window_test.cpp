@@ -1,6 +1,7 @@
 // Tests for the streaming windowed-metrics plane (obs/window.h): the
 // LogHistogram's bucket map and exact merge, tumbling-bucket boundary
-// semantics (aligned to t = 0, closed by records passing a boundary,
+// semantics (aligned to t = 0, closed by records or advance_to passing a
+// boundary -- sim::Engine's clock when one is attached, see sim_test --
 // never by scheduled events), sliding-window queries and ring eviction,
 // SoA column folding, the boundary protocol (probes sample into the
 // closing bucket, then columns fold, then the hook fires), and the

@@ -21,7 +21,7 @@
 //   $ p2plb_sim --nodes 1024 --workload zipf --zipf 1.1 --rounds 4
 //   $ p2plb_sim --topology ts5k-small --timed
 //   $ p2plb_sim --timed --trace trace.json --metrics metrics.csv
-//   $ p2plb_sim --sample-every 5 --series series.csv
+//   $ p2plb_sim --windows 5 --series series.csv
 //   $ p2plb_sim --alerts examples/alerts.conf --alerts-out alerts.csv
 #include <algorithm>
 #include <iostream>
@@ -44,9 +44,6 @@
 namespace {
 
 using namespace p2plb;
-
-/// The sampling period `--series` implies without `--sample-every`.
-constexpr double kSeriesPeriod = 5.0;
 
 int run(const Cli& cli) {
   const bool csv = cli.get_bool("csv");
@@ -152,7 +149,7 @@ int run(const Cli& cli) {
 
   // Keep pre-transfer assignments for cost accounting (first round).
   Rng brng(seed + 2);
-  obstool::Session session(cli, kSeriesPeriod, seed, nodes);
+  obstool::Session session(cli, seed, nodes);
   const bool timed = cli.get_bool("timed") || session.active();
   lb::ControllerResult result;
   std::optional<topo::DistanceOracle> oracle;
@@ -173,8 +170,7 @@ int run(const Cli& cli) {
     sim::Network net(engine, latency);
     const lb::HealthProbe health(ring, {config.balancer.epsilon, "health"});
     session.attach(engine, net, &health);
-    result = lb::balance_until_stable(net, ring, config, brng, keys,
-                                      session.sampler());
+    result = lb::balance_until_stable(net, ring, config, brng, keys);
     for (const lb::RoundStats& s : result.rounds) session.note_round(s.phases);
     session.finish();
   } else {
@@ -274,7 +270,7 @@ int main(int argc, char** argv) {
                "run rounds event-driven over simulated latencies (implied "
                "by any observability output)",
                "false");
-  p2plb::obstool::Session::add_flags(cli, kSeriesPeriod);
+  p2plb::obstool::Session::add_flags(cli);
   cli.add_flag("csv", "emit CSV tables", "false");
   if (!cli.parse(argc, argv)) return 0;
   return run(cli);

@@ -32,7 +32,7 @@ bool parse_ratio(std::string_view text, unsigned long long& keep,
 
 }  // namespace
 
-void Session::add_flags(Cli& cli, double series_period) {
+void Session::add_flags(Cli& cli) {
   // Every output picks its format from its path suffix, case-insensitive.
   cli.add_flag("trace",
                "write the trace here: Chrome JSON, or JSONL / p2plb-btrace-1 "
@@ -46,15 +46,14 @@ void Session::add_flags(Cli& cli, double series_period) {
   cli.add_flag("metrics",
                "write the metrics registry here (.csv: CSV, else text)", "");
   cli.add_flag("series",
-               "write the sampled time series here (.jsonl: JSONL, else "
-               "CSV); samples every " +
-                   Table::num(series_period, 0) + " without --sample-every",
+               "write the health gauges and net.* metrics read at the start, "
+               "at every window boundary and at the end here (.jsonl: "
+               "JSONL, else CSV); implies --windows 10",
                "");
-  cli.add_flag("sample-every",
-               "sampling period in simulated time (0 = no sampling)", "0");
   cli.add_flag("windows",
-               "bucket width of the windowed-metrics plane fed from the "
-               "network and health hooks (sim time; 0 = off)",
+               "bucket width of the windowed-metrics plane, closed on the "
+               "engine's clock and fed from the network and health hooks "
+               "(sim time; 0 = off)",
                "0");
   cli.add_flag("alerts",
                "evaluate the alert rules in this file ('<name> <metric> "
@@ -79,8 +78,7 @@ void Session::add_flags(Cli& cli, double series_period) {
                "");
 }
 
-Session::Session(const Cli& cli, double series_period, std::uint64_t seed,
-                 std::size_t nodes)
+Session::Session(const Cli& cli, std::uint64_t seed, std::size_t nodes)
     : trace_path_(cli.get_string("trace")),
       metrics_path_(cli.get_string("metrics")),
       series_path_(cli.get_string("series")),
@@ -90,7 +88,6 @@ Session::Session(const Cli& cli, double series_period, std::uint64_t seed,
       alerts_out_(cli.get_string("alerts-out")),
       seed_(seed),
       nodes_(nodes),
-      sample_every_(cli.get_double("sample-every")),
       window_width_(cli.get_double("windows")),
       stall_ms_(cli.get_double("stall-ms")) {
   const std::string ratio = cli.get_string("trace-sample");
@@ -99,15 +96,14 @@ Session::Session(const Cli& cli, double series_period, std::uint64_t seed,
                         sample_of_ > 0 && sample_keep_ <= sample_of_),
       "--trace-sample must be K/M with K <= M (e.g. 1/64), got '" + ratio +
           "'");
-  if (sample_every_ <= 0.0)
-    sample_every_ = series_path_.empty() ? 0.0 : series_period;
-  if (window_width_ <= 0.0) window_width_ = alerts_path_.empty() ? 0.0 : 10.0;
+  if (window_width_ <= 0.0)
+    window_width_ = alerts_path_.empty() && series_path_.empty() ? 0.0 : 10.0;
 }
 
 bool Session::active() const noexcept {
   return !trace_path_.empty() || !metrics_path_.empty() ||
-         sample_every_ > 0.0 || !flight_path_.empty() ||
-         !profile_path_.empty() || window_width_ > 0.0;
+         !flight_path_.empty() || !profile_path_.empty() ||
+         window_width_ > 0.0;
 }
 
 void Session::attach(sim::Engine& engine, sim::Network& net,
@@ -115,6 +111,7 @@ void Session::attach(sim::Engine& engine, sim::Network& net,
   P2PLB_REQUIRE_MSG(engine_ == nullptr, "session already attached");
   engine_ = &engine;
   net_ = &net;
+  health_ = health;
   if (!trace_path_.empty()) {
     // JSONL and binary stream straight to disk (trace memory stays O(1)
     // in run length); Chrome output is one JSON document, so it buffers.
@@ -151,44 +148,37 @@ void Session::attach(sim::Engine& engine, sim::Network& net,
     net.attach_profiler(&*profiler_);
   }
   if (window_width_ > 0.0) {
-    // Passive: the plane schedules nothing; the alert engine evaluates at
-    // every bucket close.
+    // Passive: the plane schedules nothing.  The engine closes its
+    // buckets as its clock passes each boundary, so every probe reads the
+    // state as of the boundary; the alert engine evaluates at every close.
     windows_.emplace(obs::WindowConfig{window_width_, 64});
     net.attach_windows(&*windows_);
+    engine.attach_windows(&*windows_);
     if (health != nullptr) health->register_windows(*windows_);
     if (!alerts_path_.empty()) {
       alerts_.emplace(*windows_, obs::load_alert_rules_file(alerts_path_));
       if (!trace_path_.empty()) alerts_->attach_tracer(&tracer_);
       alerts_->attach_metrics(&net.metrics());
     }
-  }
-  if (sample_every_ > 0.0) {
-    sampler_.emplace(series_, sample_every_);
-    if (health != nullptr)
-      sampler_->add_probe([health](double t, obs::TimeSeriesSink& s) {
-        health->sample_into(t, s);
-      });
-    sampler_->add_registry(net.metrics(), {"net."});
-    if (windows_)
-      // The sampler's cadence closes window boundaries through quiet
-      // periods without adding events of its own.
-      sampler_->add_probe([this](double t, obs::TimeSeriesSink&) {
-        windows_->advance_to(t);
-      });
+    if (!series_path_.empty()) {
+      read_series(engine.now());
+      windows_->add_boundary_probe([this](double t) { read_series(t); });
+    }
   }
   if (profiler_)
     run_scope_.emplace(&*profiler_, profiler_->intern("run", "driver"));
 }
 
-void Session::start_sampling() {
-  P2PLB_REQUIRE_MSG(engine_ != nullptr, "session not attached");
-  if (sampler_) sampler_->ensure_started(*engine_);
+void Session::read_series(double t) {
+  if (health_ != nullptr)
+    for (const auto& [key, value] : health_->measure())
+      series_.append(t, key, value);
+  for (const auto& [key, value] : net_->metrics().snapshot().values)
+    if (key.starts_with("net.")) series_.append(t, key, value);
 }
 
 void Session::mark(double t, std::string_view key, double value) {
-  if (!sampler_) return;
-  series_.append(t, std::string(key), value);
-  sampler_->tick(t);
+  if (!series_path_.empty()) series_.append(t, key, value);
 }
 
 void Session::note_round(
@@ -220,8 +210,11 @@ void Session::finish() {
   P2PLB_REQUIRE_MSG(engine_ != nullptr, "session not attached");
   run_scope_.reset();
   // Close the buckets the run's end passed first: trailing transitions
-  // then reach the alert file, the trace and the metrics alike.
+  // then reach the alert file, the trace and the metrics alike.  The
+  // series ends with the final state even off a boundary.
   if (windows_) windows_->advance_to(engine_->now());
+  if (!series_path_.empty() && engine_->now() > windows_->last_boundary())
+    read_series(engine_->now());
   // Rules resolve their series lazily, so a rule whose metric never
   // registered stayed false at every boundary without a word.
   if (alerts_)

@@ -1,11 +1,11 @@
 // The one observability wiring path of p2plb_sim, churn_simulation and
 // time_protocol.  A Session declares the flag set (add_flags), builds and
-// attaches the requested sinks -- trace, metrics, sampled series, windowed
-// metrics and alerts, profiler, flight recorder -- to a run's engine and
-// network (attach), and exports them all (finish) in one fixed order:
-// final window close, alerts, trace, series, metrics, profile, flight
-// dump.  So what the final window close emits (trailing alert
-// transitions) reaches every output.
+// attaches the requested sinks -- trace, metrics, windowed metrics with
+// their alerts and health series, profiler, flight recorder -- to a run's
+// engine and network (attach), and exports them all (finish) in one fixed
+// order: final window close, alerts, trace, series, metrics, profile,
+// flight dump.  So what the final window close emits (trailing alert
+// transitions and the last series reading) reaches every output.
 //
 // It lives in tools/ rather than src/obs because it composes sim::Engine,
 // sim::Network and lb::HealthProbe; the layer DAG forbids obs -> sim/lb.
@@ -24,7 +24,6 @@
 #include "lb/health.h"
 #include "obs/alert.h"
 #include "obs/profiler.h"
-#include "obs/sampler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "obs/window.h"
@@ -37,17 +36,14 @@ namespace p2plb::obstool {
 class Session {
  public:
   /// Register the flag set: trace, trace-sample, metrics, series,
-  /// sample-every, windows, alerts, alerts-out, flight-recorder,
-  /// stall-ms, profile.  `series_period` is the sampling period
-  /// `--series` implies without `--sample-every`.
-  static void add_flags(Cli& cli, double series_period);
+  /// windows, alerts, alerts-out, flight-recorder, stall-ms, profile.
+  static void add_flags(Cli& cli);
 
   /// Read the flags.  `seed` seeds trace sampling; it and `nodes` label
   /// flight-recorder dumps.  Throws PreconditionError unless
   /// `--trace-sample` is empty or K/M with K <= M.
-  Session(const Cli& cli, double series_period, std::uint64_t seed,
-          std::size_t nodes);
-  // attach() hands `this` to engine and sampler callbacks.
+  Session(const Cli& cli, std::uint64_t seed, std::size_t nodes);
+  // attach() hands `this` to engine and window-plane callbacks.
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
@@ -55,22 +51,16 @@ class Session {
   [[nodiscard]] bool active() const noexcept;
 
   /// Attach every requested sink to `engine` and `net` (schedules
-  /// nothing); `health` (may be null) feeds the sampler and the windowed
-  /// plane.  All three must live until finish().  With --profile, host
+  /// nothing); the windowed plane's buckets close on `engine`'s clock.
+  /// `health` (may be null) feeds the plane and the series.  All three
+  /// must live until finish().  With --series, the series gets one
+  /// reading now and one at every window boundary.  With --profile, host
   /// time from here to finish() is measured under one "run" frame.
   void attach(sim::Engine& engine, sim::Network& net,
               const lb::HealthProbe* health);
 
-  /// The sampler for lb::balance_until_stable (null without sampling).
-  [[nodiscard]] obs::Sampler* sampler() noexcept {
-    return sampler_ ? &*sampler_ : nullptr;
-  }
-  /// Start the sampler's periodic chain, for drivers that run the engine
-  /// themselves.  Call it after scheduling the run's own events (same-time
-  /// events fire in scheduling order).
-  void start_sampling();
-  /// Append the marker sample `key` = `value` at `t` and force a sampler
-  /// tick there.  No-op without sampling.
+  /// Append the marker sample `key` = `value` at `t` to the series.
+  /// No-op without --series.
   void mark(double t, std::string_view key, double value);
   /// Note one round's phase windows and its span on the profiler's
   /// sim-time axis, named after the network tags so the crosstab joins
@@ -88,18 +78,21 @@ class Session {
 
  private:
   void write_flight_dump() const;
+  /// Append one series reading stamped `t`: the health gauges plus the
+  /// registry's net.* metrics.
+  void read_series(double t);
 
   std::string trace_path_, metrics_path_, series_path_, flight_path_;
   std::string profile_path_, alerts_path_, alerts_out_;
   unsigned long long sample_keep_ = 1, sample_of_ = 1;
   std::uint64_t seed_;
   std::size_t nodes_;
-  double sample_every_;  ///< 0 = no sampling
   double window_width_;  ///< 0 = no windowed plane
   double stall_ms_;
 
   sim::Engine* engine_ = nullptr;
   sim::Network* net_ = nullptr;
+  const lb::HealthProbe* health_ = nullptr;
   obs::Tracer tracer_;
   std::unique_ptr<obs::TraceSink> trace_sink_;  ///< null: Chrome, buffered
   std::optional<sim::core::FlightRecorder> recorder_;
@@ -108,7 +101,6 @@ class Session {
   std::optional<obs::WindowedAggregator> windows_;
   std::optional<obs::AlertEngine> alerts_;
   obs::TimeSeriesSink series_;
-  std::optional<obs::Sampler> sampler_;
 };
 
 }  // namespace p2plb::obstool
